@@ -5,6 +5,8 @@
 //! cargo run --release -p c1p-bench --bin experiments -- e1 e3 e9
 //! cargo run --release -p c1p-bench --bin experiments -- e5 --full   # genome scale
 //! ```
+//!
+//! Unknown ids are rejected (exit status 2) before any experiment runs.
 
 use c1p_bench::models::{annexstein_swaminathan, booth_lueker, chen_yesha, klein, Shape};
 use c1p_bench::tables::Table;
@@ -17,14 +19,29 @@ use c1p_pram::cost::log2ceil;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// Every experiment id, in run order for `all`.
+const EXPERIMENTS: [&str; 13] =
+    ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let mut picked: Vec<&str> =
-        args.iter().filter(|a| a.starts_with('e')).map(String::as_str).collect();
-    if picked.is_empty() || args.iter().any(|a| a == "all") {
-        picked =
-            vec!["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13"];
+        args.iter().map(String::as_str).filter(|&a| a != "--full").collect();
+    // Check every id before running any: a typo must fail the run (and
+    // any CI step around it) instead of silently running nothing.
+    let unknown: Vec<&str> =
+        picked.iter().copied().filter(|&a| a != "all" && !EXPERIMENTS.contains(&a)).collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment {} (known: {}, all; flag: --full)",
+            unknown.join(" "),
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    }
+    if picked.is_empty() || picked.contains(&"all") {
+        picked = EXPERIMENTS.to_vec();
     }
     for e in picked {
         match e {
@@ -41,7 +58,7 @@ fn main() {
             "e11" => e11(),
             "e12" => e12(),
             "e13" => e13(),
-            other => eprintln!("unknown experiment {other}"),
+            other => unreachable!("experiment id {other} passed validation"),
         }
         println!();
     }
@@ -352,20 +369,12 @@ fn e10() {
     println!("## E10 — BENCH_solve.json (machine-readable solver timings)\n");
     let reps = 5;
     let mut entries: Vec<String> = Vec::new();
-    let csr_only = Config { bitmat_threshold: 0, ..Config::default() };
-    let mut dc_ns_at_16384 = 0u128;
     for k in [10usize, 12, 14] {
         let n = 1 << k;
         let ens = planted(n, 1);
         let p = ens.p();
         let cols = ens.columns().to_vec();
         let (t_dc, _) = median_time(reps, || c1p_core::solve(&ens).is_ok());
-        if n == 1 << 14 {
-            dc_ns_at_16384 = t_dc.as_nanos();
-        }
-        // the same solver forced onto the CSR divide path alone, so the
-        // adaptive bitmat dispatch stays auditable per size
-        let (t_csr, _) = median_time(reps, || c1p_core::solve_with(&ens, &csr_only).0.is_ok());
         let (t_fast, _) =
             median_time(reps, || c1p_core::solve_with(&ens, &Config::fast()).0.is_ok());
         let (t_par, _) = median_time(reps, || c1p_core::parallel::solve_par(&ens).0.is_ok());
@@ -409,12 +418,11 @@ fn e10() {
         write!(
             e,
             "  {{\"n\": {n}, \"m\": {}, \"p\": {p}, \"ns_per_op\": {{\
-             \"dc\": {}, \"dc_csr_only\": {}, \"dc_pq_base\": {}, \"dc_parallel\": {}, \"pqtree\": {}, \
+             \"dc\": {}, \"dc_pq_base\": {}, \"dc_parallel\": {}, \"pqtree\": {}, \
              \"split_flat\": {}, \"split_nested_vec\": {}, \
              \"reject_plain\": {}, \"reject_certified\": {}, \"verify_witness\": {}}}}}",
             ens.n_columns(),
             t_dc.as_nanos(),
-            t_csr.as_nanos(),
             t_fast.as_nanos(),
             t_par.as_nanos(),
             t_pq.as_nanos(),
@@ -426,9 +434,8 @@ fn e10() {
         )
         .unwrap();
         println!(
-            "n={n}: dc {} (csr-only {}) | dc_pq_base {} | dc_parallel {} | pqtree {} | split flat {} vs nested {}",
+            "n={n}: dc {} | dc_pq_base {} | dc_parallel {} | pqtree {} | split flat {} vs nested {}",
             fmt_secs(t_dc),
-            fmt_secs(t_csr),
             fmt_secs(t_fast),
             fmt_secs(t_par),
             fmt_secs(t_pq),
@@ -513,25 +520,6 @@ fn e10() {
     // flat-CSR rewrite landed; kept verbatim so the speedup claim stays
     // auditable after the naive solver itself is gone. The naive *divide
     // step* remains live above (`split_nested_vec`).
-    // The dc median recorded by the previous PR's E10 run (same workload,
-    // same machine class) before the bit-parallel kernels and the
-    // union-find growth landed; kept verbatim so the bitmat-smoke CI
-    // gate's >= 1.5x claim stays auditable. Mirrored by
-    // PRE_BITMAT_DC_NS_AT_16384 in bitmat_smoke.rs.
-    let pre_bitmat_dc_ns: u128 = 233_477_725;
-    let bitmat = format!(
-        "{{\"pre_bitmat_dc_ns_at_16384\": {pre_bitmat_dc_ns}, \
-         \"dc_speedup_vs_pre_bitmat_at_16384\": {:.3}, \
-         \"default_threshold\": {}}}",
-        pre_bitmat_dc_ns as f64 / dc_ns_at_16384.max(1) as f64,
-        Config::default().bitmat_threshold,
-    );
-    println!(
-        "bitmat: dc at n=16384 {:.1} ms vs pre-bitmat {:.1} ms -> {:.2}x",
-        dc_ns_at_16384 as f64 / 1e6,
-        pre_bitmat_dc_ns as f64 / 1e6,
-        pre_bitmat_dc_ns as f64 / dc_ns_at_16384.max(1) as f64,
-    );
     let seed_baseline = "{\"commit\": \"pre-flat-CSR seed + manifests\", \
          \"dc_ns_at_16384\": 589322000, \"dc_pq_base_ns_at_16384\": 440531000, \
          \"dc_parallel_ns_at_16384\": 604725000, \"pqtree_ns_at_16384\": 180850000}";
@@ -545,7 +533,6 @@ fn e10() {
          dc_parallel/prefix_sum speedups and the par-smoke gate floor; \
          see DESIGN.md §6-§7\",\n\
          \"seed_nested_vec_baseline\": {seed_baseline},\n\
-         \"bitmat\": {bitmat},\n\
          \"thread_sweep\": {thread_sweep},\n\
          \"results\": [\n{}\n]\n}}\n",
         entries.join(",\n")

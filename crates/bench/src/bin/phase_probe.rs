@@ -1,11 +1,11 @@
 //! Phase-timing + allocation probe for the divide-and-conquer solver.
 //!
 //! ```text
-//! cargo run --release -p c1p-bench --bin phase_probe [log2_n] [bitmat_threshold]
+//! cargo run --release -p c1p-bench --bin phase_probe [log2_n] [reps]
 //! ```
 //!
-//! The second argument overrides `Config::bitmat_threshold` (0 = pure
-//! CSR, `max` = pure bit-matrix) for threshold tuning runs.
+//! `reps` (default 1) solves the same instance that many times and
+//! reports the fastest run.
 //!
 //! Prints the same per-phase breakdown the request tracer emits as
 //! `solve/<phase>` spans: the phase names come from
@@ -45,14 +45,10 @@ static A: Counting = Counting;
 
 fn main() {
     let log2_n: u32 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(14);
-    let mut cfg = c1p_core::Config::default();
-    if let Some(arg) = std::env::args().nth(2) {
-        cfg.bitmat_threshold =
-            if arg == "max" { usize::MAX } else { arg.parse().expect("bitmat_threshold") };
-    }
+    let cfg = c1p_core::Config::default();
     // best-of-N (default 1): the minimum is the least scheduler-disturbed
     // sample, the right statistic on a busy shared host
-    let reps: usize = std::env::args().nth(3).and_then(|a| a.parse().ok()).unwrap_or(1).max(1);
+    let reps: usize = std::env::args().nth(2).and_then(|a| a.parse().ok()).unwrap_or(1).max(1);
     let ens = planted(1 << log2_n, 1);
     let a0 = ALLOCS.load(Ordering::Relaxed);
     let b0 = BYTES.load(Ordering::Relaxed);
@@ -77,14 +73,8 @@ fn main() {
         stats.decompositions
     );
     eprintln!(
-        "case1={} case2={} fast_merges={} members={} bitmat_converts={} bitmat_divides={} csr_divides={}",
-        stats.case1,
-        stats.case2,
-        stats.fast_merges,
-        stats.members,
-        stats.bitmat_converts,
-        stats.bitmat_divides,
-        stats.csr_divides
+        "case1={} case2={} fast_merges={} members={} divides={}",
+        stats.case1, stats.case2, stats.fast_merges, stats.members, stats.csr_divides
     );
     eprintln!("allocations: {allocs} ({:.1} MB total)", bytes as f64 / 1e6);
     if std::env::var_os("PHASE_PROBE_ALLOC_HIST").is_some() {

@@ -16,7 +16,6 @@
 //! final witness without it.
 
 use crate::witness::{submatrix, CertError, TuckerWitness};
-use c1p_core::bitmat::{compact, ones};
 use c1p_core::{FlatCols, Rejection};
 use c1p_matrix::tucker::classify;
 use c1p_matrix::{Atom, Ensemble};
@@ -83,7 +82,6 @@ pub fn extract_witness(ens: &Ensemble, rej: &Rejection) -> Result<TuckerWitness,
     // in the window constrains nothing in any subwindow), so the probe
     // cost decays geometrically instead of paying O(p) per level.
     cols = oracle.alive_cols(&atoms, &cols);
-    oracle.focus(&atoms, &cols);
     while atoms.len() > 8 {
         let mid = atoms.len() / 2;
         if oracle.non_c1p(&atoms[..mid], &cols) {
@@ -94,16 +92,12 @@ pub fn extract_witness(ens: &Ensemble, rej: &Rejection) -> Result<TuckerWitness,
             break;
         }
         cols = oracle.alive_cols(&atoms, &cols);
-        oracle.focus(&atoms, &cols);
     }
     // alternate column- and atom-minimization to a fixpoint (each pass can
     // unlock the other; two or three rounds in practice)
     loop {
         let cols_before = cols.len();
         let atoms_before = atoms.len();
-        // refocus each round: the window shrinks with the core, so every
-        // QuickXplain probe below runs on the packed rows
-        oracle.focus(&atoms, &cols);
         cols = min_core(cols, &mut |cs| oracle.non_c1p(&atoms, cs));
         // only atoms still covered by the kept columns can matter
         let mut covered = vec![false; n];
@@ -125,11 +119,6 @@ pub fn extract_witness(ens: &Ensemble, rej: &Rejection) -> Result<TuckerWitness,
     Ok(TuckerWitness { family, atom_rows: atoms, column_ids: cols })
 }
 
-/// Cap on the bit window's row storage, in `u64` words (~8 MB). Windows
-/// that would exceed it stay scalar — the window is a kernel swap, never
-/// a verdict change, so the gate only affects speed.
-const WINDOW_WORD_CAP: usize = 1 << 20;
-
 /// The shrink oracle: is the restriction of `ens` to `atoms × cols`
 /// non-C1P? Decided by the Booth–Lueker PQ-tree.
 ///
@@ -139,15 +128,6 @@ const WINDOW_WORD_CAP: usize = 1 << 20;
 /// PQ-tree itself (the bisection + QuickXplain passes previously paid a
 /// fresh `Vec<Vec<Atom>>` — one heap column *plus a sort* per restricted
 /// column — on every call).
-///
-/// Probes additionally run word-parallel when a **bit window** is focused
-/// ([`Oracle::focus`], DESIGN.md §14): the restriction of every live
-/// column to the current atom set is packed into `u64` rows, so a probe's
-/// per-column work is an AND/popcount over a handful of words — and the
-/// probe-subset renumbering is a parallel bit extract
-/// ([`c1p_core::bitmat::compact`]) — instead of one `place` lookup per
-/// entry. Probes not covered by the window (or too large for the cap)
-/// take the scalar path; both produce the same arena bit-for-bit.
 struct Oracle<'e> {
     ens: &'e Ensemble,
     /// Subset renumbering (`u32::MAX` = atom absent from the probe).
@@ -158,21 +138,6 @@ struct Oracle<'e> {
     sorted: Vec<Atom>,
     /// Restricted columns, rebuilt in place each probe.
     arena: FlatCols,
-    /// Bit window: sorted atom set the rows are packed over (empty =
-    /// no window focused).
-    watoms: Vec<Atom>,
-    /// Global column ids of the window's rows, ascending.
-    wcols: Vec<u32>,
-    /// Global atom → window rank (`u32::MAX` = outside the window).
-    wrank: Vec<u32>,
-    /// Words per window row.
-    wwidth: usize,
-    /// Packed rows, `wwidth` words per window column.
-    wrows: Vec<u64>,
-    /// Probe scratch: subset mask and extracted row (reused, no per-probe
-    /// allocation).
-    wmask: Vec<u64>,
-    wext: Vec<u64>,
 }
 
 impl<'e> Oracle<'e> {
@@ -182,67 +147,6 @@ impl<'e> Oracle<'e> {
             place: vec![u32::MAX; ens.n_atoms()],
             sorted: Vec::new(),
             arena: FlatCols::new(),
-            watoms: Vec::new(),
-            wcols: Vec::new(),
-            wrank: vec![u32::MAX; ens.n_atoms()],
-            wwidth: 0,
-            wrows: Vec::new(),
-            wmask: Vec::new(),
-            wext: Vec::new(),
-        }
-    }
-
-    /// Focuses the bit window on `atoms × cols` (both sorted ascending):
-    /// subsequent probes whose subsets stay inside it run word-parallel.
-    /// Called at the pipeline's narrowing points; oversized windows are
-    /// skipped (probes fall back to scalar, same verdicts).
-    fn focus(&mut self, atoms: &[Atom], cols: &[u32]) {
-        for &a in &self.watoms {
-            self.wrank[a as usize] = u32::MAX;
-        }
-        self.watoms.clear();
-        self.wcols.clear();
-        self.wrows.clear();
-        let width = atoms.len().div_ceil(64);
-        if atoms.is_empty() || cols.len().saturating_mul(width) > WINDOW_WORD_CAP {
-            self.wwidth = 0;
-            return;
-        }
-        debug_assert!(atoms.windows(2).all(|w| w[0] < w[1]), "window atoms sorted");
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "window cols sorted");
-        self.watoms.extend_from_slice(atoms);
-        self.wcols.extend_from_slice(cols);
-        self.wwidth = width;
-        for (i, &a) in atoms.iter().enumerate() {
-            self.wrank[a as usize] = i as u32;
-        }
-        self.wrows.resize(cols.len() * width, 0);
-        for (i, &ci) in cols.iter().enumerate() {
-            let row = &mut self.wrows[i * width..(i + 1) * width];
-            for &a in self.ens.column(ci as usize) {
-                let r = self.wrank[a as usize];
-                if r != u32::MAX {
-                    row[(r >> 6) as usize] |= 1u64 << (r & 63);
-                }
-            }
-        }
-    }
-
-    /// Is every probe atom inside the window and every probe column one
-    /// of its rows? (`O(probe)` membership checks.)
-    fn window_covers(&self, atoms: &[Atom], cols: &[u32]) -> bool {
-        self.wwidth > 0
-            && atoms.iter().all(|&a| self.wrank[a as usize] != u32::MAX)
-            && cols.iter().all(|&ci| self.wcols.binary_search(&ci).is_ok())
-    }
-
-    /// Builds the probe-subset mask over window ranks into `wmask`.
-    fn build_mask(&mut self, atoms: &[Atom]) {
-        self.wmask.clear();
-        self.wmask.resize(self.wwidth, 0);
-        for &a in atoms {
-            let r = self.wrank[a as usize];
-            self.wmask[(r >> 6) as usize] |= 1u64 << (r & 63);
         }
     }
 
@@ -267,28 +171,6 @@ impl<'e> Oracle<'e> {
     }
 
     fn non_c1p(&mut self, atoms: &[Atom], cols: &[u32]) -> bool {
-        if self.window_covers(atoms, cols) {
-            self.build_mask(atoms);
-            self.arena.clear();
-            let pw = atoms.len().div_ceil(64);
-            for &ci in cols {
-                let i = self.wcols.binary_search(&ci).expect("covered column");
-                let row = &self.wrows[i * self.wwidth..(i + 1) * self.wwidth];
-                let kept: u32 =
-                    row.iter().zip(&self.wmask).map(|(w, m)| (w & m).count_ones()).sum();
-                // restrictions below two atoms constrain nothing
-                if kept >= 2 {
-                    self.wext.clear();
-                    self.wext.resize(pw, 0);
-                    compact(&mut self.wext, row, &self.wmask);
-                    for p in ones(&self.wext) {
-                        self.arena.push(p);
-                    }
-                    self.arena.finish_col();
-                }
-            }
-            return c1p_pqtree::solve(atoms.len(), &self.arena).is_none();
-        }
         self.mark_subset(atoms);
         self.arena.clear();
         for &ci in cols {
@@ -317,9 +199,6 @@ impl<'e> Oracle<'e> {
     /// is non-C1P. `None`: every column reduced, the restriction is
     /// C1P.
     fn failing_subset(&mut self, atoms: &[Atom], cols: &[u32]) -> Option<Vec<u32>> {
-        if self.window_covers(atoms, cols) {
-            return self.failing_subset_bits(atoms, cols);
-        }
         self.mark_subset(atoms);
         let m = cols.len();
         let mut tree = c1p_pqtree::PqTree::universal(atoms.len());
@@ -347,58 +226,10 @@ impl<'e> Oracle<'e> {
         kept
     }
 
-    /// [`Self::failing_subset`], word-parallel: same interleaved walk and
-    /// reduce inputs, restriction by bit extract over the window rows.
-    fn failing_subset_bits(&mut self, atoms: &[Atom], cols: &[u32]) -> Option<Vec<u32>> {
-        self.build_mask(atoms);
-        let m = cols.len();
-        let pw = atoms.len().div_ceil(64);
-        let mut tree = c1p_pqtree::PqTree::universal(atoms.len());
-        let mut buf: Vec<u32> = Vec::new();
-        for k in 0..m {
-            let idx = if k % 2 == 0 { k / 2 } else { m - 1 - k / 2 };
-            let i = self.wcols.binary_search(&cols[idx]).expect("covered column");
-            let row = &self.wrows[i * self.wwidth..(i + 1) * self.wwidth];
-            self.wext.clear();
-            self.wext.resize(pw, 0);
-            compact(&mut self.wext, row, &self.wmask);
-            buf.clear();
-            buf.extend(ones(&self.wext));
-            if buf.len() >= 2 && tree.reduce(&buf).is_err() {
-                let mut processed: Vec<u32> = (0..=k)
-                    .map(|kk| cols[if kk % 2 == 0 { kk / 2 } else { m - 1 - kk / 2 }])
-                    .collect();
-                processed.sort_unstable();
-                return Some(processed);
-            }
-        }
-        None
-    }
-
     /// The columns of `cols` whose restriction to `atoms` keeps at
     /// least two atoms — everything else constrains nothing in any
     /// subset of `atoms` and only pads later probes.
     fn alive_cols(&mut self, atoms: &[Atom], cols: &[u32]) -> Vec<u32> {
-        if self.window_covers(atoms, cols) {
-            self.build_mask(atoms);
-            let (wcols, wrows, wmask, ww) = (&self.wcols, &self.wrows, &self.wmask, self.wwidth);
-            return cols
-                .iter()
-                .copied()
-                .filter(|&ci| {
-                    let i = wcols.binary_search(&ci).expect("covered column");
-                    let row = &wrows[i * ww..(i + 1) * ww];
-                    let mut kept = 0u32;
-                    for (w, m) in row.iter().zip(wmask) {
-                        kept += (w & m).count_ones();
-                        if kept >= 2 {
-                            return true;
-                        }
-                    }
-                    false
-                })
-                .collect();
-        }
         self.mark_subset(atoms);
         let (place, ens) = (&self.place, self.ens);
         let out = cols
@@ -498,46 +329,6 @@ mod tests {
         assert_eq!(w.family, TuckerFamily::MV);
         // the witness found exactly the embedded copy's atoms
         assert_eq!(w.atom_rows, (17..22).collect::<Vec<_>>());
-    }
-
-    /// Every window probe must agree with its scalar twin on verdicts
-    /// *and* on exact outputs (kept column lists, failing prefixes) —
-    /// the window is a kernel swap, not an approximation.
-    #[test]
-    fn window_probes_match_scalar() {
-        let emb = tucker::embed_obstruction(&tucker::m_iv(), 90, 31, &[(2, 7), (40, 3), (11, 60)]);
-        let n = emb.n_atoms();
-        let all_cols: Vec<u32> = (0..emb.n_columns() as u32).collect();
-        // deterministic pseudo-random atom subsets of varying density
-        let subsets: Vec<Vec<Atom>> = [(3u64, 1usize), (5, 2), (7, 3), (11, 1)]
-            .iter()
-            .map(|&(mul, keep)| {
-                (0..n as Atom).filter(|&a| (a as u64).wrapping_mul(mul) % 4 < keep as u64).collect()
-            })
-            .chain([(0..n as Atom).collect(), vec![31, 32, 33, 34, 35, 36]])
-            .collect();
-        let mut bit = Oracle::new(&emb);
-        let mut sca = Oracle::new(&emb);
-        for atoms in &subsets {
-            let cols = sca.alive_cols(atoms, &all_cols);
-            bit.focus(atoms, &cols);
-            assert!(bit.window_covers(atoms, &cols), "window must engage on these sizes");
-            assert_eq!(bit.alive_cols(atoms, &cols), sca.alive_cols(atoms, &cols));
-            assert_eq!(bit.failing_subset(atoms, &cols), sca.failing_subset(atoms, &cols));
-            assert_eq!(bit.non_c1p(atoms, &cols), sca.non_c1p(atoms, &cols));
-            // sub-probes inside the window: half the atoms, half the cols
-            let half_a = &atoms[..atoms.len() / 2];
-            let half_c: Vec<u32> = cols.iter().copied().step_by(2).collect();
-            assert_eq!(bit.non_c1p(half_a, &half_c), sca.non_c1p(half_a, &half_c));
-            assert_eq!(bit.alive_cols(half_a, &half_c), sca.alive_cols(half_a, &half_c));
-            assert_eq!(bit.failing_subset(half_a, &half_c), sca.failing_subset(half_a, &half_c));
-        }
-        // an unfocused oracle and a probe outside the window fall back to
-        // scalar (and still agree, trivially) — covered check is exact
-        bit.focus(&[4, 5, 6], &all_cols[..2]);
-        assert!(!bit.window_covers(&[4, 5, 7], &all_cols[..2]));
-        assert!(!bit.window_covers(&[4, 5], &all_cols[..3]));
-        assert_eq!(bit.non_c1p(&[4, 5, 7], &all_cols), sca.non_c1p(&[4, 5, 7], &all_cols));
     }
 
     #[test]

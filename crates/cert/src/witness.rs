@@ -208,13 +208,13 @@ fn refute_search_counted(ens: &Ensemble, budget: usize) -> (Option<bool>, usize)
 }
 
 /// State of one [`refute_search`] run. The candidate computation is
-/// word-parallel (DESIGN.md §14): candidates at a node are exactly the
-/// unplaced atoms in the intersection of all open columns, i.e. the set
-/// bits of `!used ∧ ⋂ open-column rows` — one AND-fold over packed rows
-/// instead of a binary search per (atom, open column) pair. Iterating
-/// those bits ascending reproduces the scalar `for a in 0..n` loop
-/// verbatim, so the search tree (and hence budget consumption) is
-/// bit-identical to the pre-bitmat implementation.
+/// word-parallel: candidates at a node are exactly the unplaced atoms in
+/// the intersection of all open columns, i.e. the set bits of
+/// `!used ∧ ⋂ open-column rows` — one AND-fold over packed rows instead
+/// of a binary search per (atom, open column) pair. Iterating those bits
+/// ascending reproduces the scalar `for a in 0..n` loop verbatim, so the
+/// search tree (and hence budget consumption) is bit-identical to the
+/// scalar reference search kept in the tests.
 struct Search {
     n: usize,
     /// Words per row.
@@ -288,7 +288,7 @@ mod tests {
     use super::*;
     use c1p_matrix::tucker;
 
-    /// The pre-bitmat scalar search, kept verbatim as the reference the
+    /// The scalar search, kept verbatim as the reference the
     /// word-parallel kernel is differential-tested against: same verdict
     /// AND same node count on every input.
     fn scalar_refute_counted(ens: &Ensemble, budget: usize) -> (Option<bool>, usize) {

@@ -26,6 +26,17 @@
 //! nearest-to-the-root constraining edge `g`). Both return *candidate*
 //! arrangements; the merge verifies each against every column, so
 //! soundness never rests on the funnel geometry.
+//!
+//! A cyclic (GAC) merge has one more shape: the host arc meets the
+//! segment at both of its ends, so two crossing restrictions of the host
+//! may have to sit at *opposite* host ends, which `align_side2`'s common
+//! split vertex cannot express. `align_host_cyclic` aligns the host the
+//! way `align_side1` aligns a segment (crossing chords, type a treated
+//! as type b, to the two path ends). **Rule:** the solver tries these
+//! candidates only after every `align_side1`/`align_side2` pairing has
+//! failed to merge. An instance the older candidates accept therefore
+//! keeps its exact order, and with it every snapshot, cache entry and
+//! sealed order built from that order.
 
 use crate::{NotC1p, RejectSite};
 use c1p_tutte::{
@@ -80,13 +91,27 @@ impl Aligned<'_> {
 /// Section 4.2.1 — candidates satisfying GAP condition (1): every type-b
 /// chord of the segment realization reaches an end vertex of the path.
 pub fn align_side1<'t>(tree: &'t TutteTree, infos: &[ChordInfo]) -> Vec<Aligned<'t>> {
-    let type_b: Vec<u32> = pick(infos, |t| t == CrossType::B);
+    align_to_ends(tree, &pick(infos, |t| t == CrossType::B))
+}
+
+/// The host side of a cyclic (GAC) merge, aligned like a segment: every
+/// crossing chord (type a treated as type b) reaches an end vertex of the
+/// host path. On the cycle the host arc meets the segment at *both* of its
+/// ends, so crossing restrictions may need opposite ends — a shape
+/// [`align_side2`]'s common split vertex cannot produce.
+pub fn align_host_cyclic<'t>(tree: &'t TutteTree, infos: &[ChordInfo]) -> Vec<Aligned<'t>> {
+    align_to_ends(tree, &pick(infos, |t| t != CrossType::C))
+}
+
+/// Cases A and B of Section 4.2.1 over the chords `ends`: one nested
+/// family is funnelled to either path end, two families to distinct ends.
+fn align_to_ends<'t>(tree: &'t TutteTree, ends: &[u32]) -> Vec<Aligned<'t>> {
     let mut out = Vec::new();
-    if type_b.is_empty() {
+    if ends.is_empty() {
         out.push(identity(tree));
         return out;
     }
-    let marked = marked_members(tree, &type_b);
+    let marked = marked_members(tree, ends);
     let mt = minimal_subtree(tree, &marked);
     match mt.leaves.len() {
         1 => {
@@ -95,7 +120,7 @@ pub fn align_side1<'t>(tree: &'t TutteTree, infos: &[ChordInfo]) -> Vec<Aligned<
             // suffices; we emit both for robustness).
             for side in [Side::Right, Side::Left] {
                 let mut cand = identity(tree);
-                if funnel_from_root(&mut cand, mt.leaves[0], &type_b, side).is_ok() {
+                if funnel_from_root(&mut cand, mt.leaves[0], ends, side).is_ok() {
                     out.push(cand);
                 }
             }
@@ -103,7 +128,7 @@ pub fn align_side1<'t>(tree: &'t TutteTree, infos: &[ChordInfo]) -> Vec<Aligned<
         2 => {
             // Case B: the two families to distinct path ends.
             let mut cand = identity(tree);
-            if funnel_two_chains(&mut cand, mt.leaves[0], mt.leaves[1], &type_b, true).is_ok() {
+            if funnel_two_chains(&mut cand, mt.leaves[0], mt.leaves[1], ends, true).is_ok() {
                 out.push(cand);
             }
         }

@@ -77,9 +77,9 @@ impl FlatCols {
         self.data.len()
     }
 
-    /// Raw CSR view `(offsets, data)` — lent to the growth BFS so the
-    /// flat path shares [`crate::partition`]'s column→atom slice
-    /// representation without copying.
+    /// Raw CSR view `(offsets, data)` — lent to the Case-2 growth
+    /// ([`crate::partition`]), which walks the column→atom slices
+    /// without copying.
     #[inline]
     pub(crate) fn raw_csr(&self) -> (&[u32], &[u32]) {
         (&self.offsets, &self.data)
@@ -337,12 +337,12 @@ impl SplitCols {
 // buffer recycling
 // ---------------------------------------------------------------------
 
-/// Per-thread freelists for the arena buffers behind [`FlatCols`],
-/// [`SplitCols`], and the bit-matrix columns. Every divide materializes
-/// child arenas and drops them when its subtree completes — with plain
-/// `Vec`s that is ~10 round trips through the allocator per divide,
-/// dominating the solver's allocation count. Dropping an arena instead
-/// parks its buffers here and the next divide on the thread adopts them.
+/// Per-thread freelists for the arena buffers behind [`FlatCols`] and
+/// [`SplitCols`]. Every divide materializes child arenas and drops them
+/// when its subtree completes — with plain `Vec`s that is ~10 round
+/// trips through the allocator per divide, dominating the solver's
+/// allocation count. Dropping an arena instead parks its buffers here
+/// and the next divide on the thread adopts them.
 ///
 /// Two tiers per type: buffers up to [`RECYCLE_CAP_ELEMS`] elements park
 /// on a long freelist (the bulk of the recursion), while the handful of
@@ -405,7 +405,6 @@ const BIG_POOL_VECS: usize = 8;
 const BIG_POOL_TOTAL_ELEMS: usize = 1 << 22;
 
 buf_pool!(take_u32, recycle_u32, BUF_U32, BIG_U32, u32);
-buf_pool!(take_u64, recycle_u64, BUF_U64, BIG_U64, u64);
 buf_pool!(take_ty, recycle_ty, BUF_TY, BIG_TY, CrossType);
 
 impl Drop for FlatCols {

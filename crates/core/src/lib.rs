@@ -23,7 +23,6 @@
 //! checkable Tucker witness.
 
 pub mod align;
-pub mod bitmat;
 pub mod circular;
 pub mod flat;
 pub mod interval_graphs;

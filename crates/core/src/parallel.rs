@@ -26,7 +26,6 @@
 //! Experiment E2 checks the composed totals against Theorem 9's
 //! `O(log² n)` time and `p log log n / log n` processor bounds.
 
-use crate::bitmat::use_bitmat;
 use crate::merge::MergeMode;
 use crate::partition::{grow_segment, proper_column, tucker_transform, Growth};
 use crate::solver::{
@@ -155,16 +154,6 @@ fn realize_par(sub: &SubProblem, cfg: &Config, sched: &Sched, depth: usize) -> P
     let k = sub.n;
     let p: usize = sub.cols.total_len();
     let lg = log2ceil(k.max(2));
-    // Bit-matrix crossover: bit subtrees always run sequentially (they
-    // sit below any sensible fork granularity), so the parallel driver
-    // hands them to `realize`, whose own hook performs the conversion —
-    // one decision rule shared by both drivers, which is what makes
-    // mixed CSR/bitmat solves agree bit-for-bit with the sequential path.
-    if use_bitmat(k, sub.cols.n_cols(), p, cfg.bitmat_threshold) {
-        let order = realize(sub, cfg, &mut stats, depth)?;
-        let cost = Cost::of((p.max(1) as u64) * lg.max(1), lg * lg.max(1));
-        return Ok((order, stats, cost));
-    }
     stats.subproblems += 1;
     stats.max_depth = depth;
     if k <= 2 || (cfg.pq_base_threshold > 0 && k <= cfg.pq_base_threshold) {
@@ -271,8 +260,7 @@ fn split_par(
     let (order2, s2, c2) = r2.map_err(|e| e.fill(data.sub2.n).mapped(&data.a2))?;
     stats.absorb(&s1);
     stats.absorb(&s2);
-    let order = combine(&data.a1, &data.a2, &data.split_cols, &order1, &order2, mode, stats, true)
-        .map_err(|e| e.fill(sub.n))?;
+    let order = combine(&data, &order1, &order2, mode, stats, true).map_err(|e| e.fill(sub.n))?;
     let k = sub.n;
     let m = sub.cols.n_cols();
     let p: usize = sub.cols.total_len();

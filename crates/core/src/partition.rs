@@ -18,55 +18,8 @@
 //! the (sorted) atom sets fall out of a single `0..k` scan instead of
 //! per-component sorts.
 
-use crate::bitmat::{BitCols, BitSub};
 use crate::flat::FlatCols;
 use crate::solver::SubProblem;
-
-/// Column access as one column→atoms CSR view `(offsets, data)` — the
-/// one seam [`grow_segment`] needs, so the CSR and bit-matrix paths share
-/// the growth BFS *body* and their [`Growth`] results are identical by
-/// construction (same visit order, same component labels), not merely by
-/// test. [`FlatCols`] lends its own arena; [`BitCols`] materializes into
-/// the caller's scratch exactly once, so the growth's three walks over
-/// the entries (count, place, visit) decode each bitset row once instead
-/// of three times.
-pub(crate) trait AtomCols {
-    fn csr<'a>(
-        &'a self,
-        off_buf: &'a mut Vec<u32>,
-        atoms_buf: &'a mut Vec<u32>,
-    ) -> (&'a [u32], &'a [u32]);
-}
-
-impl AtomCols for FlatCols {
-    #[inline]
-    fn csr<'a>(
-        &'a self,
-        _off_buf: &'a mut Vec<u32>,
-        _atoms_buf: &'a mut Vec<u32>,
-    ) -> (&'a [u32], &'a [u32]) {
-        self.raw_csr()
-    }
-}
-
-impl AtomCols for BitCols {
-    fn csr<'a>(
-        &'a self,
-        off_buf: &'a mut Vec<u32>,
-        atoms_buf: &'a mut Vec<u32>,
-    ) -> (&'a [u32], &'a [u32]) {
-        off_buf.clear();
-        off_buf.reserve(self.n_cols() + 1);
-        off_buf.push(0);
-        atoms_buf.clear();
-        atoms_buf.reserve(self.total_len());
-        for ci in 0..self.n_cols() {
-            atoms_buf.extend(self.ones(ci));
-            off_buf.push(atoms_buf.len() as u32);
-        }
-        (off_buf, atoms_buf)
-    }
-}
 
 /// Finds a proper-size column: `|A|/3 ≤ |C| ≤ 2|A|/3` (paper Case 1).
 pub fn proper_column(sub: &SubProblem) -> Option<usize> {
@@ -142,24 +95,10 @@ pub enum Growth {
 /// done here by BFS over the column–atom bipartite graph, on a CSR
 /// atom→columns adjacency).
 pub fn grow_segment(sub: &SubProblem) -> Growth {
-    grow_impl(sub.n, &sub.cols)
+    GROW_SCRATCH.with(|cell| grow_body(sub.n, &sub.cols, &mut cell.borrow_mut()))
 }
 
-/// [`grow_segment`] for the bit-matrix representation — same BFS body via
-/// `AtomCols`, so the component/segment choice is literally the same
-/// code path.
-pub fn grow_segment_bits(sub: &BitSub) -> Growth {
-    grow_impl(sub.n, &sub.cols)
-}
-
-fn grow_impl<C: AtomCols>(k: usize, sub_cols: &C) -> Growth {
-    GROW_SCRATCH.with(|cell| {
-        let mut s = cell.borrow_mut();
-        grow_body(k, sub_cols, &mut s)
-    })
-}
-
-/// Reused working memory for [`grow_impl`]: the adjacency arrays and BFS
+/// Reused working memory for [`grow_segment`]: the adjacency arrays and BFS
 /// state are rebuilt on every Case-2 divide, so pooling them per thread
 /// turns six allocations per call (one of them `O(p)`) into none after
 /// warm-up. Contents are garbage between calls — every field is
@@ -172,9 +111,6 @@ struct GrowScratch {
     col_comp: Vec<u32>,
     atom_comp: Vec<u32>,
     queue: std::collections::VecDeque<u32>,
-    // bit-matrix callers decode their rows into this column→atoms CSR
-    csr_off: Vec<u32>,
-    csr_atoms: Vec<u32>,
 }
 
 thread_local! {
@@ -182,9 +118,9 @@ thread_local! {
         std::cell::RefCell::new(GrowScratch::default());
 }
 
-fn grow_body<C: AtomCols>(k: usize, sub_cols: &C, s: &mut GrowScratch) -> Growth {
-    let GrowScratch { adj_off, adj, cursor, col_comp, atom_comp, queue, csr_off, csr_atoms } = s;
-    let (off, atoms) = sub_cols.csr(csr_off, csr_atoms);
+fn grow_body(k: usize, sub_cols: &FlatCols, s: &mut GrowScratch) -> Growth {
+    let GrowScratch { adj_off, adj, cursor, col_comp, atom_comp, queue } = s;
+    let (off, atoms) = sub_cols.raw_csr();
     let m = off.len() - 1;
     const UNSEEN: u32 = u32::MAX;
     let col = |ci: usize| &atoms[off[ci] as usize..off[ci + 1] as usize];

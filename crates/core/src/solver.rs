@@ -20,19 +20,14 @@
 //! per-column heap traffic and no per-level re-sorting (sortedness is
 //! preserved through monotone renumberings and asserted in debug).
 
-use crate::align::{align_side1, align_side2, ChordInfo, CrossType};
-use crate::bitmat::{
-    component_sub_bits, prepare_split_bits, proper_column_bits, tucker_transform_bits, use_bitmat,
-    verify_spans_bits, BitSub, BITMAT_DEFAULT_THRESHOLD,
-};
+use crate::align::{align_host_cyclic, align_side1, align_side2, Aligned, ChordInfo, CrossType};
 use crate::flat::{with_scratch, FlatCols, SplitCols};
 use crate::merge::{merge_with, MergeMode};
-use crate::partition::{grow_segment, grow_segment_bits, proper_column, tucker_transform, Growth};
-use crate::stats::{
-    SolveStats, N_PHASES, PH_ALIGN, PH_BITMAT, PH_DECOMPOSE, PH_MERGE, PH_PARTITION, PH_PREPARE,
-};
+use crate::partition::{grow_segment, proper_column, tucker_transform, Growth};
+use crate::stats::{SolveStats, PH_ALIGN, PH_DECOMPOSE, PH_MERGE, PH_PARTITION, PH_PREPARE};
 use crate::{NotC1p, RejectSite, Rejection};
 use c1p_matrix::{verify_linear, Atom, Ensemble};
+use c1p_tutte::TutteTree;
 
 // Per-solve phase timing: two `Instant::now()` reads around the phase
 // body, accumulated into the `SolveStats` already threaded through the
@@ -44,30 +39,6 @@ macro_rules! phase {
         let __t0 = std::time::Instant::now();
         let __r = $e;
         $stats.phase_ns[$ix] += __t0.elapsed().as_nanos() as u64;
-        __r
-    }};
-}
-
-// Variant crediting a phase with the *remainder* of a call: the wall time
-// of the body minus everything the body itself attributed to other phase
-// buckets. Used at the bit-matrix conversion point — the bit subtree has
-// no fine-grained phase timing of its own (its per-divide work is too
-// small to amortize `Instant` reads), but its combine steps still accrue
-// decompose/align/merge through the shared `combine`; the rest of the
-// subtree's time lands in the wrapped bucket, keeping phases disjoint.
-macro_rules! phase_remainder {
-    ($stats:ident, $ix:ident, $e:expr) => {{
-        let __before: [u64; N_PHASES] = $stats.phase_ns;
-        let __t0 = std::time::Instant::now();
-        let __r = $e;
-        let __spent = __t0.elapsed().as_nanos() as u64;
-        let mut __nested = 0u64;
-        for (__i, (__b, __a)) in __before.iter().zip($stats.phase_ns.iter()).enumerate() {
-            if __i != $ix {
-                __nested += __a - __b;
-            }
-        }
-        $stats.phase_ns[$ix] += __spent.saturating_sub(__nested);
         __r
     }};
 }
@@ -118,15 +89,6 @@ pub struct Config {
     /// the cutoff from the instance and the current pool at driver
     /// entry.
     pub seq_cutoff: usize,
-    /// Bit-matrix crossover (DESIGN.md §14): a subproblem switches to the
-    /// packed-`u64` kernels of [`crate::bitmat`] when its atom count is
-    /// at most this threshold *and* its rows are dense enough that the
-    /// bit matrix stays within ~2× the CSR footprint (see
-    /// `bitmat::use_bitmat` for the exact rule). `0` forces pure CSR,
-    /// `usize::MAX` forces the bit path everywhere — the two endpoints of
-    /// the differential threshold sweep. The verdict (order, evidence,
-    /// witness) is identical for every value; only scheduling changes.
-    pub bitmat_threshold: usize,
 }
 
 impl Default for Config {
@@ -135,7 +97,6 @@ impl Default for Config {
             pq_base_threshold: 0,
             paranoid: cfg!(debug_assertions),
             seq_cutoff: Config::AUTO_CUTOFF,
-            bitmat_threshold: BITMAT_DEFAULT_THRESHOLD,
         }
     }
 }
@@ -148,12 +109,7 @@ impl Config {
     /// The practical profile: PQ-tree base case at the paper's `p_i ≲ log n`
     /// granularity (we cut on atom count instead; see EXPERIMENTS.md E10).
     pub fn fast() -> Self {
-        Config {
-            pq_base_threshold: 32,
-            paranoid: false,
-            seq_cutoff: Config::AUTO_CUTOFF,
-            bitmat_threshold: BITMAT_DEFAULT_THRESHOLD,
-        }
+        Config { pq_base_threshold: 32, paranoid: false, seq_cutoff: Config::AUTO_CUTOFF }
     }
 }
 
@@ -290,16 +246,6 @@ pub(crate) fn realize(
     stats: &mut SolveStats,
     depth: usize,
 ) -> Result<Vec<u32>, NotC1p> {
-    // Representation crossover: once a subtree is small/dense enough the
-    // whole recursion below this point runs on packed-u64 rows. The bit
-    // path counts its own subproblems, so delegate before counting.
-    if use_bitmat(sub.n, sub.cols.n_cols(), sub.cols.total_len(), cfg.bitmat_threshold) {
-        stats.bitmat_converts += 1;
-        return phase_remainder!(stats, PH_BITMAT, {
-            let bsub = BitSub::from_sub(sub);
-            realize_bits(&bsub, cfg, stats, depth)
-        });
-    }
     stats.subproblems += 1;
     stats.max_depth = stats.max_depth.max(depth);
     let k = sub.n;
@@ -347,85 +293,6 @@ pub(crate) fn realize(
     }
 }
 
-/// [`realize`] on the bit-matrix representation: the same Path-Realization
-/// steps with the divide kernels swapped for their word-parallel twins
-/// ([`crate::bitmat`]). Never converts back to CSR except at the PQ-tree
-/// base case (whose solver consumes a [`FlatCols`]); the combine (Steps
-/// 3–7) is the *shared* [`combine`], so verdict identity with the CSR
-/// path reduces to the divide kernels producing identical splits — which
-/// `split_differential.rs` pins across the threshold sweep.
-fn realize_bits(
-    sub: &BitSub,
-    cfg: &Config,
-    stats: &mut SolveStats,
-    depth: usize,
-) -> Result<Vec<u32>, NotC1p> {
-    stats.subproblems += 1;
-    stats.max_depth = stats.max_depth.max(depth);
-    let k = sub.n;
-    // Step 0
-    if k <= 2 {
-        stats.base_cases += 1;
-        return Ok((0..k as u32).collect());
-    }
-    if cfg.pq_base_threshold > 0 && k <= cfg.pq_base_threshold {
-        stats.pq_base_cases += 1;
-        let flat = sub.cols.to_flat();
-        return c1p_pqtree::solve(k, &flat)
-            .ok_or_else(|| Rejection::at(RejectSite::PqBase).fill(k));
-    }
-    // Step 2: the divide, word-parallel
-    if let Some(ci) = proper_column_bits(sub) {
-        stats.case1 += 1;
-        let a1: Vec<u32> = sub.cols.ones(ci).collect();
-        split_and_merge_bits(sub, &a1, MergeMode::Linear, cfg, stats, depth)
-    } else {
-        stats.case2 += 1;
-        let t = tucker_transform_bits(sub);
-        // evidence widening at the transform boundary, as in `realize`
-        let cyclic = match grow_segment_bits(&t) {
-            Growth::Segment(a1) => {
-                split_and_merge_bits(&t, &a1, MergeMode::Cyclic, cfg, stats, depth)
-                    .map_err(|e| e.widened(k))?
-            }
-            Growth::Components(comps) => {
-                let mut order = Vec::with_capacity(t.n);
-                for (atoms, col_ids) in comps {
-                    let csub = component_sub_bits(&atoms, &col_ids, &t);
-                    let local =
-                        realize_bits(&csub, cfg, stats, depth + 1).map_err(|e| e.widened(k))?;
-                    order.extend(local.iter().map(|&i| atoms[i as usize]));
-                }
-                order
-            }
-        };
-        let order = cut_at_r(&cyclic, k);
-        if cfg.paranoid {
-            verify_spans_bits(sub, &order);
-        }
-        Ok(order)
-    }
-}
-
-/// [`split_and_merge`] on bit rows; the combine is shared with CSR.
-fn split_and_merge_bits(
-    sub: &BitSub,
-    a1: &[u32],
-    mode: MergeMode,
-    cfg: &Config,
-    stats: &mut SolveStats,
-    depth: usize,
-) -> Result<Vec<u32>, NotC1p> {
-    stats.bitmat_divides += 1;
-    let data = prepare_split_bits(sub, a1);
-    let order1 = realize_bits(&data.sub1, cfg, stats, depth + 1)
-        .map_err(|e| e.fill(data.sub1.n).mapped(&data.a1))?;
-    let order2 = realize_bits(&data.sub2, cfg, stats, depth + 1)
-        .map_err(|e| e.fill(data.sub2.n).mapped(&data.a2))?;
-    combine(&data.a1, &data.a2, &data.split_cols, &order1, &order2, mode, stats, false)
-        .map_err(|e| e.fill(sub.n))
-}
-
 /// Shared Case-1/Case-2 body: split on `a1`, recurse, align, merge.
 fn split_and_merge(
     sub: &SubProblem,
@@ -445,8 +312,7 @@ fn split_and_merge(
     let order2 = realize(&data.sub2, cfg, stats, depth + 1)
         .map_err(|e| e.fill(data.sub2.n).mapped(&data.a2))?;
     // A merge failure implicates the whole subproblem.
-    combine(&data.a1, &data.a2, &data.split_cols, &order1, &order2, mode, stats, false)
-        .map_err(|e| e.fill(sub.n))
+    combine(&data, &order1, &order2, mode, stats, false).map_err(|e| e.fill(sub.n))
 }
 
 /// Everything the combine step needs, precomputed before recursion
@@ -672,20 +538,16 @@ pub fn prepare_split_par(sub: &SubProblem, a1: &[u32]) -> SplitData {
 
 /// The combine: Steps 3–7 (decompose, align, merge). Each side's alignment
 /// yields a small set of candidate re-arrangements (Section 4's switches);
-/// every pair is checked by the verifying merge. Takes the split pieces
-/// rather than a [`SplitData`] so the CSR and bit-matrix divides (whose
-/// child subproblems differ in representation) share it verbatim.
-#[allow(clippy::too_many_arguments)]
+/// every pair is checked by the verifying merge.
 pub(crate) fn combine(
-    a1: &[u32],
-    a2: &[u32],
-    split_cols: &SplitCols,
+    data: &SplitData,
     order1: &[u32],
     order2: &[u32],
     mode: MergeMode,
     stats: &mut SolveStats,
     par: bool,
 ) -> Result<Vec<u32>, NotC1p> {
+    let SplitData { a1, a2, split_cols, .. } = data;
     // Identity fast path: the recursive orders are already realizations
     // of their side restrictions, and in practice they usually satisfy
     // the GAP/GAC junction conditions as-is. Trying them costs one O(p)
@@ -705,12 +567,11 @@ pub(crate) fn combine(
     // flip a verdict: the merge verifies every candidate against the
     // split columns, so a pair that merges is a realization either way,
     // and a truly non-C1P junction fails all pairs no matter the order.
-    let host_cands = phase_excluding!(
-        stats,
-        PH_ALIGN,
-        PH_DECOMPOSE,
-        align_one_side(a2, order2, split_cols, false, stats)
-    );
+    let (host, host_cands) = phase_excluding!(stats, PH_ALIGN, PH_DECOMPOSE, {
+        let host = Side::decompose(a2, order2, split_cols, false, stats);
+        let cands = host.candidates(align_side2);
+        (host, cands)
+    });
     let host_only = phase!(stats, PH_MERGE, {
         host_cands.iter().find_map(|host| merge_with(&id_seg, host, split_cols, mode, par).ok())
     });
@@ -722,19 +583,33 @@ pub(crate) fn combine(
         stats,
         PH_ALIGN,
         PH_DECOMPOSE,
-        align_one_side(a1, order1, split_cols, true, stats)
+        Side::decompose(a1, order1, split_cols, true, stats).candidates(align_side1)
     );
+    let merged = phase!(stats, PH_MERGE, {
+        host_cands.iter().find_map(|host| {
+            seg_cands.iter().find_map(|seg| merge_with(seg, host, split_cols, mode, par).ok())
+        })
+    });
+    if let Some(m) = merged {
+        return Ok(m);
+    }
+    if mode == MergeMode::Linear {
+        return Err(NotC1p::at(RejectSite::Merge));
+    }
+    // Cyclic fallback (module docs of `crate::align`): host candidates
+    // with the crossing restrictions at both host ends, tried only once
+    // every pairing above has failed, so no order accepted above changes.
+    let cyclic_cands = phase!(stats, PH_ALIGN, host.candidates(align_host_cyclic));
     phase!(stats, PH_MERGE, {
-        let mut result = Err(NotC1p::at(RejectSite::Merge));
-        'outer: for host in &host_cands {
-            for seg in &seg_cands {
-                if let Ok(m) = merge_with(seg, host, split_cols, mode, par) {
-                    result = Ok(m);
-                    break 'outer;
-                }
-            }
-        }
-        result
+        cyclic_cands
+            .iter()
+            .filter(|host| !host_cands.contains(host))
+            .find_map(|host| {
+                std::iter::once(&id_seg)
+                    .chain(&seg_cands)
+                    .find_map(|seg| merge_with(seg, host, split_cols, mode, par).ok())
+            })
+            .ok_or(NotC1p::at(RejectSite::Merge))
     })
 }
 
@@ -749,45 +624,85 @@ pub(crate) fn cut_at_r(cyclic: &[u32], k: usize) -> Vec<u32> {
     order
 }
 
-/// Steps 3–6 for one side: build the gp-realization's chords from the
-/// returned order, compute the Tutte decomposition, run the alignment, and
-/// compose each candidate back into an order over the side's
-/// (subproblem-local) atoms.
-fn align_one_side(
-    atoms: &[u32],
-    order: &[u32],
-    split_cols: &SplitCols,
-    seg_side: bool,
-    stats: &mut SolveStats,
-) -> Vec<Vec<u32>> {
-    let kn = atoms.len();
-    let max = atoms.iter().map(|&a| a as usize + 1).max().unwrap_or(0);
-    with_scratch(max, |s| {
-        // pos[subproblem-local atom] = position in this side's order
-        for (i, &x) in order.iter().enumerate() {
-            s.pos[atoms[x as usize] as usize] = i as u32;
-        }
-        let out = align_one_side_inner(atoms, order, split_cols, seg_side, stats, &s.pos, kn);
-        for &a in atoms {
-            s.pos[a as usize] = u32::MAX;
-        }
-        out
-    })
+/// One side of a divide after Steps 3–4: the gp-realization's chords,
+/// built from the side's recursive order, and their Tutte decomposition.
+/// Kept whole so the side can be aligned more than one way (Steps 5–6)
+/// without decomposing it again.
+struct Side<'a> {
+    /// The side's subproblem-local atoms.
+    atoms: &'a [u32],
+    /// The side's recursive order (indices into `atoms`).
+    order: &'a [u32],
+    infos: Vec<ChordInfo>,
+    /// `None` when no chord crosses: nothing constrains the junction.
+    tree: Option<TutteTree>,
 }
 
-fn align_one_side_inner(
-    atoms: &[u32],
-    order: &[u32],
-    split_cols: &SplitCols,
-    seg_side: bool,
-    stats: &mut SolveStats,
-    pos: &[u32],
-    kn: usize,
-) -> Vec<Vec<u32>> {
-    // chords: every column restriction with ≥ 2 atoms (decomposition
-    // fidelity: they pin the polygon re-linkings), plus crossing
-    // restrictions of 1 atom (they must still reach the split vertex).
-    let mut spans: Vec<(u32, u32)> = Vec::new();
+impl<'a> Side<'a> {
+    /// Steps 3–4 for the segment side (`seg_side`) or the host side.
+    fn decompose(
+        atoms: &'a [u32],
+        order: &'a [u32],
+        split_cols: &SplitCols,
+        seg_side: bool,
+        stats: &mut SolveStats,
+    ) -> Side<'a> {
+        let max = atoms.iter().map(|&a| a as usize + 1).max().unwrap_or(0);
+        let infos = with_scratch(max, |s| {
+            // pos[subproblem-local atom] = position in this side's order
+            for (i, &x) in order.iter().enumerate() {
+                s.pos[atoms[x as usize] as usize] = i as u32;
+            }
+            let chords = side_chords(split_cols, seg_side, &s.pos);
+            for &a in atoms {
+                s.pos[a as usize] = u32::MAX;
+            }
+            chords
+        });
+        let tree = infos.iter().any(|i| i.ty != CrossType::C).then(|| {
+            let spans: Vec<(u32, u32)> = infos.iter().map(|i| i.span).collect();
+            let tree = phase!(
+                stats,
+                PH_DECOMPOSE,
+                c1p_tutte::decompose(atoms.len(), &spans).expect("valid spans")
+            );
+            stats.decompositions += 1;
+            stats.members += tree.n_members();
+            tree
+        });
+        Side { atoms, order, infos, tree }
+    }
+
+    /// Steps 5–6: the distinct candidate orders `align` yields, composed
+    /// back into sequences of subproblem-local atoms.
+    fn candidates(
+        &self,
+        align: for<'t> fn(&'t TutteTree, &[ChordInfo]) -> Vec<Aligned<'t>>,
+    ) -> Vec<Vec<u32>> {
+        let (atoms, order) = (self.atoms, self.order);
+        let Some(tree) = &self.tree else {
+            // nothing constrains the junction; keep the recursive order
+            return vec![order.iter().map(|&x| atoms[x as usize]).collect()];
+        };
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        for cand in &align(tree, &self.infos) {
+            // composed[i] = original order position at new position i
+            let seq: Vec<u32> =
+                cand.compose().iter().map(|&p| atoms[order[p as usize] as usize]).collect();
+            if !out.contains(&seq) {
+                out.push(seq);
+            }
+        }
+        out
+    }
+}
+
+/// The chords of one side's gp-realization: every column restriction
+/// with ≥ 2 atoms (decomposition fidelity: they pin the polygon
+/// re-linkings), plus crossing restrictions of 1 atom (they must still
+/// reach the split vertex). `pos` maps a side atom to its position in
+/// the side's order.
+fn side_chords(split_cols: &SplitCols, seg_side: bool, pos: &[u32]) -> Vec<ChordInfo> {
     let mut infos: Vec<ChordInfo> = Vec::new();
     for ci in 0..split_cols.len() {
         let part = if seg_side { split_cols.seg(ci) } else { split_cols.host(ci) };
@@ -810,28 +725,9 @@ fn align_one_side_inner(
             part.len(),
             "recursive order must realize the restriction"
         );
-        spans.push((lo, hi + 1));
         infos.push(ChordInfo { span: (lo, hi + 1), ty });
     }
-    let needs_alignment = infos.iter().any(|i| i.ty != CrossType::C);
-    if !needs_alignment {
-        // nothing constrains the junction; keep the recursive order
-        return vec![order.iter().map(|&x| atoms[x as usize]).collect()];
-    }
-    let tree = phase!(stats, PH_DECOMPOSE, c1p_tutte::decompose(kn, &spans).expect("valid spans"));
-    stats.decompositions += 1;
-    stats.members += tree.n_members();
-    let aligned = if seg_side { align_side1(&tree, &infos) } else { align_side2(&tree, &infos) };
-    let mut out: Vec<Vec<u32>> = Vec::with_capacity(aligned.len());
-    for cand in &aligned {
-        let composed = cand.compose();
-        // composed[i] = original order position at new position i
-        let seq: Vec<u32> = composed.iter().map(|&p| atoms[order[p as usize] as usize]).collect();
-        if !out.contains(&seq) {
-            out.push(seq);
-        }
-    }
-    out
+    infos
 }
 
 /// Span check: `order` realizes the subproblem. O(p); used by the
@@ -930,6 +826,42 @@ mod tests {
                     assert_eq!(got, expect, "mismatch on {:?}", e.to_matrix());
                 }
             }
+        }
+        // A 10-atom instance whose top-level Case 2 needs the host's two
+        // crossing restrictions at opposite ends of the host arc (the
+        // cyclic host alignment in `align`). Every column order must agree
+        // with brute force; the verdict does not depend on column order.
+        let cols: [&[Atom]; 6] = [
+            &[1, 3, 9],
+            &[1, 5, 7],
+            &[2, 6, 8],
+            &[1, 2, 3, 5, 6, 7, 9],
+            &[5, 6, 7],
+            &[0, 2, 4, 5, 6, 7, 8],
+        ];
+        let expect = brute_force_linear(&ens(10, cols.iter().map(|c| c.to_vec()).collect()));
+        assert!(expect.is_some(), "the 10-atom instance is C1P");
+        let mut perm: Vec<usize> = (0..cols.len()).collect();
+        let mut orders = std::collections::HashSet::new();
+        for_each_permutation(&mut perm, cols.len(), &mut |p| {
+            orders.insert(p.to_vec());
+            let e = ens(10, p.iter().map(|&i| cols[i].to_vec()).collect());
+            let got = solve(&e).unwrap_or_else(|r| panic!("column order {p:?} rejected: {r:?}"));
+            verify_linear(&e, &got).unwrap();
+        });
+        assert_eq!(orders.len(), 720, "every column order is tried");
+    }
+
+    /// Heap's algorithm: calls `f` once per permutation of `items[..k]`.
+    fn for_each_permutation(items: &mut [usize], k: usize, f: &mut dyn FnMut(&[usize])) {
+        if k <= 1 {
+            f(items);
+            return;
+        }
+        for_each_permutation(items, k - 1, f);
+        for i in 0..k - 1 {
+            items.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+            for_each_permutation(items, k - 1, f);
         }
     }
 

@@ -7,12 +7,12 @@ use c1p_pram::Cost;
 ///
 /// These labels are an API contract shared by the offline `phase_probe`
 /// diagnostic and the live tracer's `solve/<phase>` span names: renaming
-/// an entry breaks trace consumers, so treat additions as append-only.
-pub const PHASE_NAMES: [&str; N_PHASES] =
-    ["partition", "prepare", "decompose", "align", "merge", "bitmat"];
+/// an entry breaks trace consumers, so new phases are appended, and a
+/// name is removed only together with the phase it measures.
+pub const PHASE_NAMES: [&str; N_PHASES] = ["partition", "prepare", "decompose", "align", "merge"];
 
 /// Number of instrumented solver phases (`PHASE_NAMES.len()`).
-pub const N_PHASES: usize = 6;
+pub const N_PHASES: usize = 5;
 
 /// Index of the partition phase (proper-column search, Tucker transform,
 /// segment growth) in [`SolveStats::phase_ns`].
@@ -25,11 +25,6 @@ pub const PH_DECOMPOSE: usize = 2;
 pub const PH_ALIGN: usize = 3;
 /// Index of the merge phase (Step 6 + final splice).
 pub const PH_MERGE: usize = 4;
-/// Index of the bit-matrix phase: time spent inside bit-path recursion
-/// (conversion + word-parallel divides), *excluding* the shared combine
-/// work, which keeps accruing to decompose/align/merge (DESIGN.md §14).
-/// Appended in PR 10 — names are append-only by the contract above.
-pub const PH_BITMAT: usize = 5;
 
 /// Counters collected across one solve.
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,15 +48,11 @@ pub struct SolveStats {
     /// Combines settled by the identity fast path (recursive orders
     /// merged as-is; Steps 3–6 skipped entirely).
     pub fast_merges: usize,
-    /// Subtrees that crossed from the CSR to the bit-matrix
-    /// representation (one conversion each; see `Config::bitmat_threshold`).
-    pub bitmat_converts: usize,
-    /// Divides executed on the bit-matrix path (word-parallel
-    /// `prepare_split_bits` calls).
+    /// Always 0: kept for callers that read it by name. The solver has
+    /// one subproblem representation, and [`Self::csr_divides`] counts
+    /// every divide (DESIGN.md §14).
     pub bitmat_divides: usize,
-    /// Divides executed on the CSR path (`prepare_split` /
-    /// `prepare_split_par` calls) — together with `bitmat_divides` this
-    /// makes the representation swap observable per run.
+    /// Divides executed (`prepare_split` / `prepare_split_par` calls).
     pub csr_divides: usize,
     /// Wall-clock nanoseconds spent per solver phase, indexed by the
     /// `PH_*` constants / [`PHASE_NAMES`]. On the sequential path the
@@ -85,8 +76,6 @@ impl SolveStats {
         self.decompositions += other.decompositions;
         self.members += other.members;
         self.fast_merges += other.fast_merges;
-        self.bitmat_converts += other.bitmat_converts;
-        self.bitmat_divides += other.bitmat_divides;
         self.csr_divides += other.csr_divides;
         for (mine, theirs) in self.phase_ns.iter_mut().zip(other.phase_ns.iter()) {
             *mine += theirs;
@@ -111,7 +100,7 @@ mod tests {
         assert_eq!(a.max_depth, 3);
         assert_eq!(a.case1, 1);
         assert_eq!(a.case2, 4);
-        assert_eq!(a.phase_ns, [17, 0, 0, 0, 3, 0]);
+        assert_eq!(a.phase_ns, [17, 0, 0, 0, 3]);
     }
 
     #[test]
@@ -122,8 +111,5 @@ mod tests {
         assert_eq!(PHASE_NAMES[PH_DECOMPOSE], "decompose");
         assert_eq!(PHASE_NAMES[PH_ALIGN], "align");
         assert_eq!(PHASE_NAMES[PH_MERGE], "merge");
-        assert_eq!(PHASE_NAMES[PH_BITMAT], "bitmat");
-        // append-only contract: the PR-9 prefix must never move
-        assert_eq!(&PHASE_NAMES[..5], &["partition", "prepare", "decompose", "align", "merge"]);
     }
 }

@@ -40,29 +40,18 @@ fn divide_path_stays_allocation_lean() {
         c1p_matrix::generate::PlantedShape { n_atoms: n, n_columns: m, min_len: 2, max_len: 24 },
         &mut rng,
     );
-    // The same budget must hold for pure CSR (threshold 0), the adaptive
-    // default (mixed CSR/bitmat), and pure bitmat (usize::MAX): the bit
-    // path's arenas are recycled the same way, so swapping the column
-    // representation must not reintroduce per-column heap traffic.
-    for threshold in [0, c1p_core::bitmat::BITMAT_DEFAULT_THRESHOLD, usize::MAX] {
-        // paranoid verification allocates per subproblem and is debug-only
-        // noise — turn it off so debug and release measure the same solver.
-        let cfg = Config {
-            pq_base_threshold: 0,
-            paranoid: false,
-            bitmat_threshold: threshold,
-            ..Config::default()
-        };
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let (order, stats) = c1p_core::solve_with(&ens, &cfg);
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-        assert!(order.is_ok(), "planted instance must be accepted");
-        let budget = 100 * m as u64;
-        assert!(
-            allocs < budget,
-            "solve (bitmat_threshold={threshold:#x}) allocated {allocs} blocks (> {budget}) \
-             across {} subproblems — did per-column heap traffic creep back into the divide path?",
-            stats.subproblems
-        );
-    }
+    // paranoid verification allocates per subproblem and is debug-only
+    // noise — turn it off so debug and release measure the same solver.
+    let cfg = Config { pq_base_threshold: 0, paranoid: false, ..Config::default() };
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let (order, stats) = c1p_core::solve_with(&ens, &cfg);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(order.is_ok(), "planted instance must be accepted");
+    let budget = 100 * m as u64;
+    assert!(
+        allocs < budget,
+        "solve allocated {allocs} blocks (> {budget}) across {} subproblems — did \
+         per-column heap traffic creep back into the divide path?",
+        stats.subproblems
+    );
 }

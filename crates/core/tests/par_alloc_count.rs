@@ -45,8 +45,7 @@ fn parallel_path_stays_allocation_lean() {
     );
     // force real forking even on a single-core host: explicit cutoff,
     // 4-worker pool (paranoid off so debug and release measure alike)
-    let cfg =
-        Config { pq_base_threshold: 0, paranoid: false, seq_cutoff: 256, ..Config::default() };
+    let cfg = Config { pq_base_threshold: 0, paranoid: false, seq_cutoff: 256 };
     c1p_pram::with_threads(4, || {
         let (order, _) = c1p_core::parallel::solve_par_with(&ens, &cfg);
         assert!(order.is_ok(), "warm-up solve must accept");

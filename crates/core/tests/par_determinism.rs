@@ -63,56 +63,6 @@ fn rejects_agree_with_sequential_across_thread_counts() {
     }
 }
 
-/// ISSUE 10 satellites 3+4: the bitmat threshold swept against the thread
-/// count. The parallel driver consults the same `use_bitmat` rule as the
-/// sequential one, so whatever mix of CSR and bit-matrix subtrees a solve
-/// lands on — pure CSR (0), pure bits (`usize::MAX`), adaptive default,
-/// or a mid-tree flip (64) — every thread count must reproduce the
-/// sequential order on accepts and the sequential evidence on rejects.
-#[test]
-fn bitmat_thresholds_agree_across_thread_counts() {
-    let thresholds = [0usize, 64, c1p_core::bitmat::BITMAT_DEFAULT_THRESHOLD, usize::MAX];
-    // accept side: planted instance large enough that the parallel driver
-    // actually forks and the adaptive/mid thresholds flip mid-tree
-    let mut rng = SmallRng::seed_from_u64(0xB17D);
-    let (ens, _) = planted_c1p(
-        PlantedShape { n_atoms: 1800, n_columns: 3600, min_len: 2, max_len: 200 },
-        &mut rng,
-    );
-    // reject side: an embedded obstruction in a same-shaped instance
-    let bad = tucker::embed_obstruction(&tucker::m_iii(2), 900, 42, &[(0, 300), (450, 300)]);
-    let expect_order = solve(&ens).expect("planted instance accepted");
-    let expect_rej = solve(&bad).expect_err("obstruction rejected");
-    for threshold in thresholds {
-        let cfg = Config { bitmat_threshold: threshold, ..Config::default() };
-        let (seq_order, seq_stats) = c1p_core::solve_with(&ens, &cfg);
-        assert_eq!(seq_order.as_ref().unwrap(), &expect_order, "threshold {threshold:#x}: seq");
-        if threshold == 64 {
-            // the satellite-3 shape: both representations in one solve
-            assert!(
-                seq_stats.bitmat_converts > 0 && seq_stats.csr_divides > 0,
-                "threshold 64 must mix representations (converts={}, csr_divides={})",
-                seq_stats.bitmat_converts,
-                seq_stats.csr_divides
-            );
-        }
-        let seq_rej = c1p_core::solve_with(&bad, &cfg).0.expect_err("seq reject");
-        assert_eq!(seq_rej.atoms, expect_rej.atoms, "threshold {threshold:#x}: seq evidence");
-        for t in THREADS {
-            let (got, _) =
-                c1p_pram::with_threads(t, || c1p_core::parallel::solve_par_with(&ens, &cfg));
-            assert_eq!(got.unwrap(), expect_order, "threshold {threshold:#x} t={t}: order");
-            let (got, _) =
-                c1p_pram::with_threads(t, || c1p_core::parallel::solve_par_with(&bad, &cfg));
-            assert_eq!(
-                got.expect_err("par reject").atoms,
-                expect_rej.atoms,
-                "threshold {threshold:#x} t={t}: evidence"
-            );
-        }
-    }
-}
-
 #[test]
 fn explicit_and_auto_cutoffs_agree() {
     let mut rng = SmallRng::seed_from_u64(77);

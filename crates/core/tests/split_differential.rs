@@ -116,36 +116,6 @@ fn parallel_divide_matches_sequential_divide() {
     });
 }
 
-#[test]
-fn bit_divide_matches_flat_divide() {
-    use c1p_core::bitmat::{prepare_split_bits, BitSub};
-    for seed in 0..300u64 {
-        let mut rng = SmallRng::seed_from_u64(0xB17 ^ seed);
-        // > 64 atoms sometimes, so multi-word rows are exercised
-        let sub = random_subproblem(&mut rng, 100, 12);
-        let n = sub.n;
-        let a1: Vec<u32> = loop {
-            let cut: Vec<u32> =
-                (0..n as u32).filter(|_| rng.random_range(0..2usize) == 0).collect();
-            if !cut.is_empty() && cut.len() < n {
-                break cut;
-            }
-        };
-        let seq = prepare_split(&sub, &a1);
-        let bit = prepare_split_bits(&BitSub::from_sub(&sub), &a1);
-        assert_eq!(bit.a1, seq.a1, "seed {seed}");
-        assert_eq!(bit.a2, seq.a2, "seed {seed}");
-        assert_eq!(bit.split_cols.len(), seq.split_cols.len(), "seed {seed}");
-        for ci in 0..seq.split_cols.len() {
-            assert_eq!(bit.split_cols.seg(ci), seq.split_cols.seg(ci), "seed {seed} col {ci}");
-            assert_eq!(bit.split_cols.host(ci), seq.split_cols.host(ci), "seed {seed} col {ci}");
-            assert_eq!(bit.split_cols.ty(ci), seq.split_cols.ty(ci), "seed {seed} col {ci}");
-        }
-        assert_eq!(bit.sub1.to_sub(), seq.sub1, "seed {seed}: segment projection differs");
-        assert_eq!(bit.sub2.to_sub(), seq.sub2, "seed {seed}: host projection differs");
-    }
-}
-
 // ---------------------------------------------------------------------
 // layer 2: whole-solver differential vs Booth–Lueker
 // ---------------------------------------------------------------------
@@ -214,75 +184,6 @@ fn solver_matches_pqtree_on_planted_with_noise() {
         let fast = c1p_core::solve_with(&noisy, &Config::fast()).0.is_ok();
         assert_eq!(pure, pq, "seed {seed}: pure divide-and-conquer vs pqtree");
         assert_eq!(fast, pq, "seed {seed}: pq-base-case config vs pqtree");
-    }
-}
-
-/// The bitmat threshold picks a column *representation*, never a verdict:
-/// pure CSR (0), pure bit-matrix (`usize::MAX`), and the adaptive default
-/// must return byte-identical orders on accepts and byte-identical
-/// rejection evidence on rejects, and both must match the PQ-tree.
-#[test]
-fn bitmat_threshold_sweep_is_verdict_invariant() {
-    let thresholds = [0usize, c1p_core::bitmat::BITMAT_DEFAULT_THRESHOLD, usize::MAX];
-    let mut accepts = 0usize;
-    let mut rejects = 0usize;
-    for seed in 0..250u64 {
-        let mut rng = SmallRng::seed_from_u64(0xB175EED ^ seed);
-        let ens = mask_ensemble(&mut rng, 10, 7);
-        let pq = c1p_pqtree::solve(ens.n_atoms(), ens.columns()).is_some();
-        let baseline =
-            c1p_core::solve_with(&ens, &Config { bitmat_threshold: 0, ..Config::default() }).0;
-        assert_eq!(baseline.is_ok(), pq, "seed {seed}:\n{}", ens.to_matrix());
-        if baseline.is_ok() {
-            accepts += 1
-        } else {
-            rejects += 1
-        }
-        for threshold in thresholds {
-            let cfg = Config { bitmat_threshold: threshold, ..Config::default() };
-            let (got, stats) = c1p_core::solve_with(&ens, &cfg);
-            assert_eq!(got, baseline, "seed {seed} threshold {threshold:#x}:\n{}", ens.to_matrix());
-            // singleton columns are dropped before realize, so the bit
-            // path only ever sees components with a real column
-            if threshold == usize::MAX && ens.columns().iter().any(|c| c.len() >= 2) {
-                assert!(stats.bitmat_converts > 0, "seed {seed}: bit path never engaged");
-            }
-            if threshold == 0 {
-                assert_eq!(stats.bitmat_converts, 0, "seed {seed}: bit path must stay off");
-            }
-        }
-    }
-    assert!(accepts > 20, "too few accepts ({accepts}) — workload drifted");
-    assert!(rejects > 20, "too few rejects ({rejects}) — workload drifted");
-    // larger planted instances: the adaptive default flips representation
-    // mid-tree (CSR at the top, bitmat once components narrow)
-    for seed in 0..8u64 {
-        let mut rng = SmallRng::seed_from_u64(0xB170 ^ seed);
-        let (ens, _) = c1p_matrix::generate::planted_c1p(
-            c1p_matrix::generate::PlantedShape {
-                n_atoms: 1500,
-                n_columns: 3000,
-                min_len: 2,
-                max_len: 400,
-            },
-            &mut rng,
-        );
-        let baseline =
-            c1p_core::solve_with(&ens, &Config { bitmat_threshold: 0, ..Config::default() }).0;
-        for threshold in thresholds {
-            let cfg = Config { bitmat_threshold: threshold, ..Config::default() };
-            let (got, stats) = c1p_core::solve_with(&ens, &cfg);
-            assert_eq!(got, baseline, "seed {seed} threshold {threshold:#x}");
-            if threshold == c1p_core::bitmat::BITMAT_DEFAULT_THRESHOLD {
-                assert!(
-                    stats.bitmat_converts > 0 && stats.csr_divides > 0,
-                    "seed {seed}: adaptive run must mix both representations \
-                     (bitmat_converts={}, csr_divides={})",
-                    stats.bitmat_converts,
-                    stats.csr_divides
-                );
-            }
-        }
     }
 }
 

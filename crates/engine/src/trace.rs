@@ -22,14 +22,8 @@ use std::time::Instant;
 /// Span names for the solver phase breakdown, parallel to
 /// [`c1p_core::stats::PHASE_NAMES`] (same order, `solve/` prefix). These
 /// are children of the `solve` span; keep both lists in lockstep.
-pub const SOLVE_PHASE_SPANS: [&str; c1p_core::stats::N_PHASES] = [
-    "solve/partition",
-    "solve/prepare",
-    "solve/decompose",
-    "solve/align",
-    "solve/merge",
-    "solve/bitmat",
-];
+pub const SOLVE_PHASE_SPANS: [&str; c1p_core::stats::N_PHASES] =
+    ["solve/partition", "solve/prepare", "solve/decompose", "solve/align", "solve/merge"];
 
 /// One named interval on a request's timeline, in microsecond offsets
 /// from the owning [`ReqTrace`]'s epoch.

@@ -163,3 +163,27 @@ fn interleaved_engine_sessions_stay_isolated_and_agree_with_one_shot() {
         assert_eq!(s, &sweeps[0], "thread sweep point {i} diverged");
     }
 }
+
+/// A planted stream whose block 5 (atoms 1280–1535) needs the cyclic host
+/// alignment: its top-level Case-2 merge must put the host's two crossing
+/// restrictions at opposite ends of the host arc. Every push must be
+/// accepted, the session's final order must be the one-shot `solve`
+/// order, and `solve_par` must return that order at 1, 2 and 4 threads.
+#[test]
+fn cyclic_host_alignment_stream_is_accepted_everywhere() {
+    let stream = append_stream(2048, 8, 32, 483122);
+    let n = stream.n_atoms;
+    let mut inc = IncrementalSolver::new(n);
+    for k in 0..stream.pushes.len() {
+        if let Err(cert) = inc.push(&stream.push_ensemble(k)) {
+            panic!("push {k} rejected: {:?}", cert.rejection);
+        }
+    }
+    let all = Ensemble::from_columns(n, stream.pushes.concat()).unwrap();
+    let expect = c1p_core::solve(&all).expect("the planted stream is C1P");
+    assert_eq!(inc.order(), expect.as_slice(), "session order differs from one-shot solve");
+    for threads in [1usize, 2, 4] {
+        let (got, _) = c1p_pram::with_threads(threads, || c1p_core::parallel::solve_par(&all));
+        assert_eq!(got.expect("solve_par accepts"), expect, "{threads} threads");
+    }
+}
