@@ -1,8 +1,10 @@
 //! # c1p-bench: the experiment harness
 //!
 //! One generator + table printer per experiment in DESIGN.md §5 (E1–E9);
-//! the `experiments` binary drives them and EXPERIMENTS.md records the
-//! outcomes. Criterion microbenches (E10) live under `benches/`.
+//! the `experiments` binary drives them, README.md's "Experiments"
+//! section summarizes the outcomes, and E10–E13 record theirs in the
+//! repository's `BENCH_*.json` files. Criterion microbenches (E10) live
+//! under `benches/`.
 
 pub mod models;
 pub mod naive;

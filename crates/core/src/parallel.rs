@@ -154,8 +154,9 @@ fn realize_par(sub: &SubProblem, cfg: &Config, sched: &Sched, depth: usize) -> P
     let k = sub.n;
     let p: usize = sub.cols.total_len();
     let lg = log2ceil(k.max(2));
-    stats.subproblems += 1;
     stats.max_depth = depth;
+    // base cases and sequential subtrees are counted by `realize` itself;
+    // only the forking path below counts its own subproblem
     if k <= 2 || (cfg.pq_base_threshold > 0 && k <= cfg.pq_base_threshold) {
         // base case; modelled as the paper's small-subproblem sequential run
         let order = realize(sub, cfg, &mut stats, depth)?;
@@ -168,6 +169,7 @@ fn realize_par(sub: &SubProblem, cfg: &Config, sched: &Sched, depth: usize) -> P
         let cost = Cost::of((p.max(1) as u64) * lg.max(1), lg * lg.max(1));
         return Ok((order, stats, cost));
     }
+    stats.subproblems += 1;
     let divide_cost = Cost::of(p.max(1) as u64, lg); // scan / transform / growth
     if let Some(ci) = proper_column(sub) {
         stats.case1 += 1;

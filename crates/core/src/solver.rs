@@ -107,7 +107,8 @@ impl Config {
     pub const AUTO_CUTOFF: usize = usize::MAX;
 
     /// The practical profile: PQ-tree base case at the paper's `p_i ≲ log n`
-    /// granularity (we cut on atom count instead; see EXPERIMENTS.md E10).
+    /// granularity (we cut on atom count instead; E10 in README.md's
+    /// "Experiments" section compares it, recorded in `BENCH_solve.json`).
     pub fn fast() -> Self {
         Config { pq_base_threshold: 32, paranoid: false, seq_cutoff: Config::AUTO_CUTOFF }
     }

@@ -9,7 +9,7 @@
 //! a data race or a scheduling-dependent code path.
 
 use c1p_core::parallel::solve_par;
-use c1p_core::{solve, Config};
+use c1p_core::{solve, solve_with, Config};
 use c1p_matrix::generate::{planted_c1p, PlantedShape};
 use c1p_matrix::tucker;
 use rand::rngs::SmallRng;
@@ -25,12 +25,19 @@ fn accepts_agree_with_sequential_across_thread_counts() {
             PlantedShape { n_atoms: n, n_columns: 2 * n, min_len: 2, max_len: n / 3 + 2 },
             &mut rng,
         );
-        let expect = solve(&ens).expect("planted instance accepted");
+        let (expect, seq) = solve_with(&ens, &Config::default());
+        let expect = expect.expect("planted instance accepted");
         for t in THREADS {
             let (got, stats) = c1p_pram::with_threads(t, || solve_par(&ens));
             let got = got.unwrap_or_else(|_| panic!("n={n} t={t}: parallel driver rejected"));
             assert_eq!(got, expect, "n={n} t={t}: order diverged from sequential");
             assert!(stats.cost.work > 0 && stats.cost.depth > 0, "n={n} t={t}");
+            // the work counters count each subproblem once, whichever
+            // path realizes it
+            assert_eq!(stats.subproblems, seq.subproblems, "n={n} t={t}: subproblems");
+            assert_eq!(stats.case1, seq.case1, "n={n} t={t}: case1");
+            assert_eq!(stats.case2, seq.case2, "n={n} t={t}: case2");
+            assert_eq!(stats.base_cases, seq.base_cases, "n={n} t={t}: base_cases");
         }
     }
 }

@@ -56,6 +56,7 @@ use c1p_matrix::io::WireVerdict;
 use c1p_matrix::{Atom, Ensemble};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
@@ -377,6 +378,10 @@ pub struct EngineStats {
     /// WAL files refused during recovery and moved aside (checksum, hash
     /// or replay mismatch — never silently dropped).
     pub quarantined_wals: u64,
+    /// Wall time spent rebuilding sessions from their WALs, in
+    /// microseconds: the boot pass (every log at once, on the pool — its
+    /// wall time, not a per-log sum) plus every lazy resume.
+    pub recovery_us: u64,
     /// Cache snapshots written (periodic + on-demand flushes).
     pub snapshot_writes: u64,
     /// Cache hits served by entries loaded from a snapshot — the proof a
@@ -417,6 +422,7 @@ impl EngineStats {
         self.wal_fsyncs += other.wal_fsyncs;
         self.recovered_sessions += other.recovered_sessions;
         self.quarantined_wals += other.quarantined_wals;
+        self.recovery_us += other.recovery_us;
         self.snapshot_writes += other.snapshot_writes;
         self.warm_start_hits += other.warm_start_hits;
         self.wal_faults_injected += other.wal_faults_injected;
@@ -444,6 +450,7 @@ impl EngineStats {
              \"session_rejects\": {}, \"open_sessions\": {}, \
              \"wal_appends\": {}, \"wal_fsyncs\": {}, \
              \"recovered_sessions\": {}, \"quarantined_wals\": {}, \
+             \"recovery_us\": {}, \
              \"snapshot_writes\": {}, \"warm_start_hits\": {}, \
              \"wal_faults_injected\": {}, \
              \"hit_rate\": {:.4}}}",
@@ -470,6 +477,7 @@ impl EngineStats {
             self.wal_fsyncs,
             self.recovered_sessions,
             self.quarantined_wals,
+            self.recovery_us,
             self.snapshot_writes,
             self.warm_start_hits,
             self.wal_faults_injected,
@@ -497,6 +505,7 @@ struct Counters {
     wal_fsyncs: AtomicU64,
     recovered_sessions: AtomicU64,
     quarantined_wals: AtomicU64,
+    recovery_us: AtomicU64,
     snapshot_writes: AtomicU64,
     wal_faults_injected: AtomicU64,
 }
@@ -984,41 +993,10 @@ impl Engine {
             self.inner.stats.overloaded.fetch_add(1, Ordering::Relaxed);
             return Err(EngineError::Overloaded);
         }
-        let recovered = self.inner.pool.install(|| {
-            wal::recover_file(&path, &c1p_core::Config::default(), self.inner.cfg.small_cutoff)
-        });
-        let rec = match recovered {
-            Ok(rec) if rec.session == id => rec,
-            Ok(rec) => {
-                eprintln!(
-                    "c1p-engine: quarantining {}: header names session {} (expected {id})",
-                    path.display(),
-                    rec.session
-                );
-                let _ = wal::quarantine(&path);
-                self.inner.stats.quarantined_wals.fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::NoSuchSession { id });
-            }
-            Err(damage) => {
-                eprintln!("c1p-engine: quarantining {}: {}", path.display(), damage.reason);
-                let _ = wal::quarantine(&path);
-                self.inner.stats.quarantined_wals.fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::NoSuchSession { id });
-            }
-        };
-        let writer = wal::WalWriter::reopen(&path)
-            .expect("WAL reopen (durability directory must stay writable)");
-        let bytes = session_base_account(rec.solver.n_atoms())
-            + rec.solver.ensemble().columns().iter().map(|c| column_account(c)).sum::<usize>();
-        let sess = Arc::new(Mutex::new(SessionState {
-            inc: rec.solver,
-            last_touch: Instant::now(),
-            bytes,
-            wal: Some(writer),
-        }));
-        sessions.insert(id, Arc::clone(&sess));
-        self.inner.stats.recovered_sessions.fetch_add(1, Ordering::Relaxed);
-        Ok(sess)
+        let recovered =
+            recover_logs(&self.inner, &[(id, path.clone())]).pop().expect("one result per log");
+        adopt_recovered(&self.inner, &mut sessions, id, &path, recovered)
+            .ok_or(EngineError::NoSuchSession { id })
     }
 
     /// Evicts sessions idle past [`EngineConfig::session_idle_ms`]; runs
@@ -1078,6 +1056,7 @@ impl Engine {
             wal_fsyncs: s.wal_fsyncs.load(Ordering::Relaxed),
             recovered_sessions: s.recovered_sessions.load(Ordering::Relaxed),
             quarantined_wals: s.quarantined_wals.load(Ordering::Relaxed),
+            recovery_us: s.recovery_us.load(Ordering::Relaxed),
             snapshot_writes: s.snapshot_writes.load(Ordering::Relaxed),
             warm_start_hits,
             wal_faults_injected: s.wal_faults_injected.load(Ordering::Relaxed),
@@ -1116,8 +1095,9 @@ impl Drop for Engine {
 }
 
 /// Boot-time recovery (wal_dir set): warm-start the cache from the live
-/// snapshot, then rebuild every session whose WAL survives verification.
-/// Damaged files — snapshot or WAL — are quarantined and counted; the
+/// snapshot, then rebuild every session whose WAL survives verification —
+/// all logs at once on the engine pool, committed in ascending session
+/// id. Damaged files — snapshot or WAL — are quarantined and counted; the
 /// engine always comes up, at worst cold and with fewer sessions.
 fn recover_durable_state(inner: &Inner) {
     let dir = inner.cfg.wal_dir.as_deref().expect("caller checked wal_dir");
@@ -1133,63 +1113,82 @@ fn recover_durable_state(inner: &Inner) {
                 cache.insert_warm(key.into(), &verdict);
             }
         }
-        Err(damage) => {
-            let path = snapshot::snapshot_path(dir);
-            eprintln!("c1p-engine: quarantining {}: {}", path.display(), damage.reason);
-            let _ = wal::quarantine(&path);
-            inner.stats.quarantined_wals.fetch_add(1, Ordering::Relaxed);
-        }
+        Err(damage) => quarantine_counted(inner, &snapshot::snapshot_path(dir), &damage.reason),
     }
     let logs = wal::scan_dir(dir).expect("durability directory scan");
+    let recovered = recover_logs(inner, &logs);
     let mut sessions = inner.sessions.lock().expect("sessions lock");
     let mut max_id = 0u64;
-    for (id, path) in logs {
-        max_id = max_id.max(id);
-        let recovered = inner.pool.install(|| {
-            wal::recover_file(&path, &c1p_core::Config::default(), inner.cfg.small_cutoff)
-        });
-        match recovered {
-            Ok(rec) if rec.session == id => {
-                let writer = wal::WalWriter::reopen(&path).expect("WAL reopen at boot");
-                let bytes = session_base_account(rec.solver.n_atoms())
-                    + rec
-                        .solver
-                        .ensemble()
-                        .columns()
-                        .iter()
-                        .map(|c| column_account(c))
-                        .sum::<usize>();
-                sessions.insert(
-                    id,
-                    Arc::new(Mutex::new(SessionState {
-                        inc: rec.solver,
-                        last_touch: Instant::now(),
-                        bytes,
-                        wal: Some(writer),
-                    })),
-                );
-                inner.stats.recovered_sessions.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(rec) => {
-                eprintln!(
-                    "c1p-engine: quarantining {}: header names session {} (expected {id})",
-                    path.display(),
-                    rec.session
-                );
-                let _ = wal::quarantine(&path);
-                inner.stats.quarantined_wals.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(damage) => {
-                eprintln!("c1p-engine: quarantining {}: {}", path.display(), damage.reason);
-                let _ = wal::quarantine(&path);
-                inner.stats.quarantined_wals.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    for ((id, path), rec) in logs.iter().zip(recovered) {
+        max_id = max_id.max(*id);
+        adopt_recovered(inner, &mut sessions, *id, path, rec);
     }
     // ids never repeat across process generations while a log (or a live
     // recovered session) could still carry the old one
     let seq = inner.session_seq.load(Ordering::Relaxed).max(max_id);
     inner.session_seq.store(seq, Ordering::Relaxed);
+}
+
+/// Rebuilds the listed session logs on the engine pool, all at once, and
+/// adds the wall time to `recovery_us`. Results come back in input order.
+fn recover_logs(
+    inner: &Inner,
+    logs: &[(u64, PathBuf)],
+) -> Vec<Result<wal::Recovered, wal::WalDamage>> {
+    use rayon::prelude::*;
+    let cfg = c1p_core::Config::default();
+    let par_cutoff = inner.cfg.small_cutoff;
+    let t0 = Instant::now();
+    let recovered = inner.pool.install(|| {
+        logs.par_iter().map(|(_, path)| wal::recover_file(path, &cfg, par_cutoff)).collect()
+    });
+    inner.stats.recovery_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+    recovered
+}
+
+/// Commits one recovered log (boot and lazy resume alike): reopens its
+/// writer and registers the session, or — when the log names another
+/// session or failed recovery — quarantines the file and returns `None`.
+fn adopt_recovered(
+    inner: &Inner,
+    sessions: &mut HashMap<u64, Arc<Mutex<SessionState>>>,
+    id: u64,
+    path: &Path,
+    recovered: Result<wal::Recovered, wal::WalDamage>,
+) -> Option<Arc<Mutex<SessionState>>> {
+    let rec = match recovered {
+        Ok(rec) if rec.session == id => rec,
+        Ok(rec) => {
+            let reason = format!("header names session {} (expected {id})", rec.session);
+            quarantine_counted(inner, path, &reason);
+            return None;
+        }
+        Err(damage) => {
+            quarantine_counted(inner, path, &damage.reason);
+            return None;
+        }
+    };
+    let writer =
+        wal::WalWriter::reopen(path).expect("WAL reopen (durability directory must stay writable)");
+    let bytes = session_base_account(rec.solver.n_atoms())
+        + rec.solver.ensemble().columns().iter().map(|c| column_account(c)).sum::<usize>();
+    let sess = Arc::new(Mutex::new(SessionState {
+        inc: rec.solver,
+        last_touch: Instant::now(),
+        bytes,
+        wal: Some(writer),
+    }));
+    sessions.insert(id, Arc::clone(&sess));
+    inner.stats.recovered_sessions.fetch_add(1, Ordering::Relaxed);
+    Some(sess)
+}
+
+/// Moves a damaged durable file (WAL or snapshot) aside, logs why, and
+/// counts it in `quarantined_wals`.
+fn quarantine_counted(inner: &Inner, path: &Path, reason: &str) {
+    eprintln!("c1p-engine: quarantining {}: {reason}", path.display());
+    let _ = wal::quarantine(path);
+    inner.stats.quarantined_wals.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Writes one cache snapshot if (and only if) a durability directory is

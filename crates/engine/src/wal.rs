@@ -15,7 +15,7 @@
 //! Records reuse the engine's existing C1PW wire encoding as the payload
 //! format and [`c1p_matrix::io`]'s checksummed record framing; `hash` is
 //! the session's FNV stream hash *after* the push — each record binds
-//! both the delta and the state it produced, so replay is verifiable at
+//! both the delta and the state it produced, so the log is verifiable at
 //! every prefix.
 //!
 //! **Ordering contract:** a push is appended and fsynced *before* it is
@@ -25,17 +25,22 @@
 //! absent (the client cannot have seen an ack — recovery truncates the
 //! tail and the session stands at its last acknowledged push).
 //!
-//! **Recovery classification** ([`recover_file`]): a record that ends
-//! past the physical end of file — or whose checksum fails right at the
-//! tail — is a *torn final append*: discarded by truncating the file at
-//! the last good record boundary, never misparsed. Everything else
-//! (checksum failure mid-file, an undecodable delta behind a valid
-//! checksum, a stream-hash or verdict mismatch during replay) is
-//! *damage*: the file is [`quarantine`]d — renamed aside, counted,
-//! never trusted, never deleted.
+//! **Recovery** ([`recover_file`]) checks the whole hash chain first and
+//! then solves once: the concatenation of every record goes through one
+//! incremental push. C1P is hereditary under column deletion, so that one
+//! accepting solve certifies every prefix the log acknowledged.
+//!
+//! **Recovery classification:** a record that ends past the physical end
+//! of file — or whose checksum fails right at the tail — is a *torn final
+//! append*: discarded by truncating the file at the last good record
+//! boundary, never misparsed. Everything else (checksum failure mid-file,
+//! an undecodable delta behind a valid checksum, a stream-hash mismatch,
+//! or a logged push that rejects) is *damage*: the file is
+//! [`quarantine`]d — renamed aside, counted, never trusted, never
+//! deleted.
 
-use c1p_core::Config;
-use c1p_incremental::{IncrementalSolver, ReplayError};
+use c1p_core::{solve_with, Config};
+use c1p_incremental::{fold_stream_hash, initial_stream_hash, IncrementalSolver, ReplayError};
 use c1p_matrix::io::{
     append_record, decode_ensemble, encode_ensemble, fnv1a, split_record, RecordError,
 };
@@ -181,9 +186,10 @@ pub struct Recovered {
     /// The session id (from the checksummed header).
     pub session: u64,
     /// The rebuilt solver — state bit-identical to the last acknowledged
-    /// push (every prefix's recorded stream hash re-verified).
+    /// push (every prefix's recorded stream hash re-verified, the whole
+    /// stream solved once).
     pub solver: IncrementalSolver,
-    /// Accepted pushes replayed.
+    /// Logged pushes recovered (one record each).
     pub records: u64,
     /// Whether a torn final append was discarded (file truncated back to
     /// the last good record boundary).
@@ -243,16 +249,29 @@ pub fn quarantine(path: &Path) -> std::io::Result<PathBuf> {
     Ok(target)
 }
 
-/// Rebuilds one session from its log.
+/// Rebuilds one session from its log, in two passes.
 ///
-/// Replays every record through [`IncrementalSolver::replay_accepted`],
-/// which asserts the recorded FNV stream hash at every prefix *before*
-/// applying anything. A torn final append (including a checksum failure
-/// exactly at the tail) is truncated away and recovery succeeds at the
-/// shorter, fully-acknowledged prefix; any other defect returns
-/// `Err(WalDamage)` and the caller quarantines. IO errors (not data
-/// errors) surface as `Err` with the OS message — the caller treats them
-/// as damage too, which is conservative but never wrong.
+/// **Pass 1** frames, decodes and chain-checks every record without
+/// solving anything: the header, each record's checksum, the delta's
+/// decode and atom count, and the recorded stream hash, folded record by
+/// record with [`fold_stream_hash`] — a mismatch names its record's byte
+/// offset. A torn final append (including a checksum failure exactly at
+/// the tail) ends the pass at the last good record boundary.
+///
+/// **Pass 2** rebuilds the session with one
+/// [`IncrementalSolver::replay_accepted`] of the concatenated stream,
+/// checked against the final recorded hash. C1P is hereditary under
+/// column deletion, so one accepting solve certifies every prefix, and
+/// the state is bit-identical to replaying the records one by one. If
+/// that solve rejects (never for an honest log), verdict-only solves
+/// bisect the record prefixes for the first one that rejects, and that
+/// record's offset is reported.
+///
+/// Only after the solve accepts is a torn tail truncated away; recovery
+/// then succeeds at the shorter, fully-acknowledged prefix. Any other
+/// defect returns `Err(WalDamage)` and the caller quarantines. IO errors
+/// (not data errors) surface as `Err` with the OS message — the caller
+/// treats them as damage too, which is conservative but never wrong.
 pub fn recover_file(path: &Path, cfg: &Config, par_cutoff: usize) -> Result<Recovered, WalDamage> {
     let buf = std::fs::read(path)
         .map_err(|e| WalDamage { reason: format!("cannot read {}: {e}", path.display()) })?;
@@ -260,9 +279,14 @@ pub fn recover_file(path: &Path, cfg: &Config, par_cutoff: usize) -> Result<Reco
     if n_atoms > u32::MAX as u64 {
         return Err(WalDamage { reason: format!("header claims {n_atoms} atoms") });
     }
-    let mut solver = IncrementalSolver::with_config(n_atoms as usize, *cfg, par_cutoff);
+    let n_atoms = n_atoms as usize;
+    // pass 1: every record framed, decoded and chain-checked; the decoded
+    // columns move into one stream, and each record's offset and payload
+    // are kept for the bisect
+    let mut stream = Ensemble::new(n_atoms);
+    let mut records: Vec<(usize, &[u8])> = Vec::new();
+    let mut hash = initial_stream_hash(n_atoms);
     let mut at = HEADER_LEN;
-    let mut records = 0u64;
     let mut truncate_at = None;
     while at < buf.len() {
         let rec = match split_record(&buf, at) {
@@ -282,7 +306,7 @@ pub fn recover_file(path: &Path, cfg: &Config, par_cutoff: usize) -> Result<Reco
         let delta = decode_ensemble(rec.payload).map_err(|e| WalDamage {
             reason: format!("record at byte {at}: undecodable delta: {e}"),
         })?;
-        if delta.n_atoms() != n_atoms as usize {
+        if delta.n_atoms() != n_atoms {
             return Err(WalDamage {
                 reason: format!(
                     "record at byte {at}: delta over {} atoms in a {n_atoms}-atom session",
@@ -290,24 +314,33 @@ pub fn recover_file(path: &Path, cfg: &Config, par_cutoff: usize) -> Result<Reco
                 ),
             });
         }
-        match solver.replay_accepted(&delta, rec.aux) {
+        hash = fold_stream_hash(hash, &delta);
+        if hash != rec.aux {
+            return Err(WalDamage {
+                reason: format!(
+                    "record at byte {at}: recorded stream hash {:#018x} \
+                     but replay produces {hash:#018x}",
+                    rec.aux
+                ),
+            });
+        }
+        stream.append(delta);
+        records.push((at, rec.payload));
+        at += rec.consumed;
+    }
+    // pass 2: one solve of the whole stream
+    let mut solver = IncrementalSolver::with_config(n_atoms, *cfg, par_cutoff);
+    if !records.is_empty() {
+        match solver.replay_accepted(stream, hash) {
             Ok(()) => {}
-            Err(ReplayError::HashMismatch { expected, actual }) => {
-                return Err(WalDamage {
-                    reason: format!(
-                        "record at byte {at}: recorded stream hash {expected:#018x} \
-                         but replay produces {actual:#018x}"
-                    ),
-                });
-            }
             Err(ReplayError::Rejected) => {
+                let at = first_rejecting_record(&records, n_atoms, cfg);
                 return Err(WalDamage {
                     reason: format!("record at byte {at}: a logged push rejects on replay"),
                 });
             }
+            Err(e) => return Err(WalDamage { reason: format!("replay of the whole log: {e}") }),
         }
-        records += 1;
-        at += rec.consumed;
     }
     let truncated_tail = if let Some(end) = truncate_at {
         // normalize the file so later appends land at a clean boundary
@@ -321,7 +354,32 @@ pub fn recover_file(path: &Path, cfg: &Config, par_cutoff: usize) -> Result<Reco
     } else {
         false
     };
-    Ok(Recovered { session, solver, records, truncated_tail })
+    Ok(Recovered { session, solver, records: records.len() as u64, truncated_tail })
+}
+
+/// The byte offset of the first record whose prefix of the log rejects,
+/// given that the whole log rejects. Heredity makes prefix acceptance
+/// monotone, so a bisect over verdict-only solves (no certificate is
+/// extracted) finds it in `O(log records)` solves.
+fn first_rejecting_record(records: &[(usize, &[u8])], n_atoms: usize, cfg: &Config) -> usize {
+    let accepts = |k: usize| {
+        let mut prefix = Ensemble::new(n_atoms);
+        for (_, payload) in &records[..k] {
+            prefix.append(decode_ensemble(payload).expect("decoded in pass 1"));
+        }
+        solve_with(&prefix, cfg).0.is_ok()
+    };
+    // the empty prefix accepts and the whole log rejects
+    let (mut lo, mut hi) = (0, records.len());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if accepts(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    records[hi - 1].0
 }
 
 #[cfg(test)]
@@ -362,6 +420,27 @@ mod tests {
         assert_eq!(rec.solver.order(), inc.order());
         assert_eq!(rec.solver.ensemble(), inc.ensemble());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_solves_once_whatever_the_log_length() {
+        // a deterministic work counter, not a timing gate: however many
+        // records the log holds, one push rebuilds the session
+        for records in [1usize, 16, 64] {
+            let dir = temp_dir();
+            let stream = c1p_matrix::generate::append_stream(128, 4, records, 5);
+            let mut inc = IncrementalSolver::new(stream.n_atoms);
+            let mut w = WalWriter::create(&dir, 3, stream.n_atoms as u64).unwrap();
+            for cols in &stream.pushes {
+                push_and_log(&mut w, &mut inc, cols.clone());
+            }
+            let rec = recover_file(&wal_path(&dir, 3), &Config::default(), usize::MAX).unwrap();
+            assert_eq!(rec.records, records as u64);
+            assert_eq!(rec.solver.stats().pushes, 1, "{records} records");
+            assert_eq!(rec.solver.stream_hash(), inc.stream_hash());
+            assert_eq!(rec.solver.order(), inc.order());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

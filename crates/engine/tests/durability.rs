@@ -7,8 +7,10 @@
 //! and never a panic.
 
 use c1p_cert::solve_certified;
+use c1p_core::Config;
 use c1p_engine::{snapshot, wal, Engine, EngineConfig, EngineError, Verdict};
-use c1p_matrix::generate::append_stream;
+use c1p_incremental::{fold_stream_hash, initial_stream_hash, IncrementalSolver};
+use c1p_matrix::generate::{append_stream, append_stream_reject};
 use c1p_matrix::io::split_record;
 use c1p_matrix::{Atom, Ensemble};
 use std::path::PathBuf;
@@ -60,6 +62,7 @@ fn boot_recovery_seals_bit_identical_to_one_shot() {
     assert_eq!(stats.recovered_sessions, 1, "boot replays the WAL");
     assert_eq!(stats.quarantined_wals, 0);
     assert_eq!(stats.open_sessions, 1);
+    assert!(stats.recovery_us > 0, "the recovery's wall time is counted");
     for k in split..stream.pushes.len() {
         engine.session_push(id, &stream.push_ensemble(k)).unwrap();
     }
@@ -299,4 +302,91 @@ fn damaged_snapshots_are_quarantined_and_the_cache_starts_cold() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Writes a session log straight through [`wal::WalWriter`]: one record
+/// per delta, each carrying the stream hash folded over every delta so
+/// far — the chain an honest session writes, whether or not the deltas
+/// would actually accept. Returns the file's bytes and each record's end
+/// offset.
+fn write_log(
+    dir: &std::path::Path,
+    id: u64,
+    n_atoms: usize,
+    deltas: &[Ensemble],
+) -> (Vec<u8>, Vec<usize>) {
+    let mut w = wal::WalWriter::create(dir, id, n_atoms as u64).unwrap();
+    let mut hash = initial_stream_hash(n_atoms);
+    let mut ends = Vec::new();
+    for delta in deltas {
+        hash = fold_stream_hash(hash, delta);
+        w.append(delta, hash).unwrap();
+        ends.push(std::fs::metadata(wal::wal_path(dir, id)).unwrap().len() as usize);
+    }
+    (std::fs::read(wal::wal_path(dir, id)).unwrap(), ends)
+}
+
+#[test]
+fn one_solve_recovery_equals_per_record_replay_at_every_boundary() {
+    let dir = tdir("prefix");
+    let stream = append_stream(256, 4, 32, 29); // multi-block: many components
+    let deltas: Vec<Ensemble> = (0..stream.pushes.len()).map(|k| stream.push_ensemble(k)).collect();
+    let (bytes, ends) = write_log(&dir, 1, stream.n_atoms, &deltas);
+    let path = wal::wal_path(&dir, 1);
+    // the reference: one replay_accepted per logged record
+    let mut per_record = IncrementalSolver::new(stream.n_atoms);
+    for k in 0..=deltas.len() {
+        if k > 0 {
+            let hash = fold_stream_hash(per_record.stream_hash(), &deltas[k - 1]);
+            per_record.replay_accepted(deltas[k - 1].clone(), hash).unwrap();
+        }
+        let cut = if k == 0 { wal::HEADER_LEN } else { ends[k - 1] };
+        for par_cutoff in [0, usize::MAX] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let rec = wal::recover_file(&path, &Config::default(), par_cutoff).unwrap();
+            let at = format!("{k} records, par_cutoff {par_cutoff}");
+            assert_eq!(rec.records, k as u64, "{at}");
+            assert!(!rec.truncated_tail, "{at}");
+            assert_eq!(rec.solver.order(), per_record.order(), "{at}: order");
+            assert_eq!(rec.solver.stream_hash(), per_record.stream_hash(), "{at}: hash");
+            assert_eq!(rec.solver.ensemble(), per_record.ensemble(), "{at}: ensemble");
+            assert_eq!(rec.solver.n_components(), per_record.n_components(), "{at}: components");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn forged_logs_with_a_rejecting_record_are_quarantined_at_that_record() {
+    // valid checksums and a valid hash chain around a Tucker obstruction:
+    // only the solve can tell, and the reason names the first record
+    // whose prefix rejects
+    let forged = (0u64..)
+        .map(|seed| (seed, append_stream_reject(128, 4, 9, seed)))
+        .filter(|(_, (stream, bad, _))| *bad > 0 && bad + 1 < stream.pushes.len())
+        .take(4);
+    for (seed, (stream, bad, _)) in forged {
+        let deltas: Vec<Ensemble> =
+            (0..stream.pushes.len()).map(|k| stream.push_ensemble(k)).collect();
+        let dir = tdir("forged");
+        let (_, ends) = write_log(&dir, 5, stream.n_atoms, &deltas);
+        let bad_at = ends[bad - 1]; // record `bad` starts where its predecessor ends
+        let damage = match wal::recover_file(&wal::wal_path(&dir, 5), &Config::default(), 2048) {
+            Ok(_) => panic!("seed {seed}: a forged log recovered"),
+            Err(damage) => damage,
+        };
+        assert_eq!(
+            damage.reason,
+            format!("record at byte {bad_at}: a logged push rejects on replay"),
+            "seed {seed}"
+        );
+        // ... and a boot quarantines it instead of resuming the session
+        let engine = Engine::new(durable_cfg(&dir));
+        let stats = engine.stats();
+        assert_eq!(stats.quarantined_wals, 1, "seed {seed}");
+        assert_eq!(stats.recovered_sessions, 0, "seed {seed}");
+        assert!(wal::wal_path(&dir, 5).with_extension("wal.quarantine").exists());
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -40,7 +40,7 @@
 use c1p_cert::{certify_rejection, CertifiedRejection};
 use c1p_core::parallel::solve_component_par;
 use c1p_core::solver::solve_component;
-use c1p_core::Config;
+use c1p_core::{Config, Rejection};
 use c1p_matrix::{Atom, Ensemble};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -190,12 +190,19 @@ pub fn fold_stream_hash(mut h: u64, delta: &Ensemble) -> u64 {
 }
 
 /// Sparse union-find over component keys (absent key = root); unions keep
-/// the *smaller* key as root, so a group's root is its min atom.
-fn find(parent: &HashMap<u32, u32>, mut k: u32) -> u32 {
-    while let Some(&p) = parent.get(&k) {
-        k = p;
+/// the *smaller* key as root, so a group's root is its min atom. Finds
+/// compress the walked path onto the root, so a replay that pushes a
+/// whole log at once stays near-linear in its column count.
+fn find(parent: &mut HashMap<u32, u32>, k: u32) -> u32 {
+    let mut root = k;
+    while let Some(&p) = parent.get(&root) {
+        root = p;
     }
-    k
+    let mut cur = k;
+    while cur != root {
+        cur = parent.insert(cur, root).expect("non-root keys have a parent");
+    }
+    root
 }
 
 impl IncrementalSolver {
@@ -272,32 +279,45 @@ impl IncrementalSolver {
         Ok(self.push(&delta))
     }
 
-    /// Replays one durably-logged *accepted* push: the write-ahead-log
-    /// recovery entry point. The recorded post-push stream hash is
-    /// checked **before** anything is applied (the hash folds only the
-    /// column stream, so the post-state is computable up front); a
-    /// mismatch refuses the delta with the solver untouched. A delta
-    /// that hashes right but no longer accepts (impossible for an intact
-    /// log — verdicts are deterministic) is rolled back by the ordinary
-    /// [`IncrementalSolver::push`] rollback and reported as
-    /// [`ReplayError::Rejected`]. On success the session state is
-    /// bit-identical to the state that originally acknowledged the push.
+    /// Replays durably-logged *accepted* columns: the write-ahead-log
+    /// recovery entry point. `delta` may be one logged push or the
+    /// concatenation of many; its columns are moved into the session, not
+    /// copied. The recorded post-push stream hash is checked **before**
+    /// anything is applied (the hash folds only the column stream, so the
+    /// post-state is computable up front); a mismatch refuses the delta
+    /// with the solver untouched. A delta that hashes right but no longer
+    /// accepts (impossible for an intact log — verdicts are
+    /// deterministic) is rolled back without certifying the rejection and
+    /// reported as [`ReplayError::Rejected`].
+    ///
+    /// On success the session state — order, stream hash, ensemble and
+    /// components — is bit-identical to the state that acknowledged the
+    /// last logged push, whether the log is replayed push by push or in
+    /// one call: each component is solved from the same atoms and the
+    /// same ascending column ids either way, and C1P is hereditary, so
+    /// an accepted concatenation certifies every prefix. Only
+    /// [`IncrementalSolver::stats`] differs (one push instead of many).
     pub fn replay_accepted(
         &mut self,
-        delta: &Ensemble,
+        delta: Ensemble,
         recorded_hash: u64,
     ) -> Result<(), ReplayError> {
         assert_eq!(delta.n_atoms(), self.n_atoms, "replay must match the session atom count");
-        let tentative = fold_stream_hash(self.hash, delta);
+        let tentative = fold_stream_hash(self.hash, &delta);
         if tentative != recorded_hash {
             return Err(ReplayError::HashMismatch { expected: recorded_hash, actual: tentative });
         }
-        match self.push(delta) {
-            Ok(_) => {
+        let m0 = self.ens.n_columns();
+        self.ens.append(delta);
+        match self.resolve_appended(m0) {
+            Ok(()) => {
                 debug_assert_eq!(self.hash, recorded_hash, "push folds the same hash");
                 Ok(())
             }
-            Err(_) => Err(ReplayError::Rejected),
+            Err(_) => {
+                self.ens.truncate_columns(m0);
+                Err(ReplayError::Rejected)
+            }
         }
     }
 
@@ -313,26 +333,45 @@ impl IncrementalSolver {
     /// invariant).
     pub fn push(&mut self, delta: &Ensemble) -> PushVerdict {
         assert_eq!(delta.n_atoms(), self.n_atoms, "push must match the session atom count");
-        self.stats.pushes += 1;
         let m0 = self.ens.n_columns();
         // tentatively extend; rollback = truncate back to m0
         for col in delta.columns() {
             self.ens.push_column(col.clone());
         }
+        match self.resolve_appended(m0) {
+            Ok(()) => Ok(self.order.clone()),
+            Err(rej) => {
+                // certify against the tentatively extended ensemble — the
+                // exact input one-shot extraction would see — then roll
+                // every trace of the push back
+                let cert = certify_rejection(&self.ens, rej);
+                self.ens.truncate_columns(m0);
+                Err(cert)
+            }
+        }
+    }
+
+    /// Re-solves the components touched by the columns appended from
+    /// index `m0` on and commits them. On a rejection nothing is
+    /// committed: the tentatively extended ensemble is left for the
+    /// caller to certify against and truncate.
+    fn resolve_appended(&mut self, m0: usize) -> Result<(), Rejection> {
+        self.stats.pushes += 1;
+        let new_cols = &self.ens.columns()[m0..];
         // group the touched components: each new column unions the
         // components of its atoms
         let mut parent: HashMap<u32, u32> = HashMap::new();
         let mut touched: BTreeSet<u32> = BTreeSet::new();
-        for col in delta.columns() {
+        for col in new_cols {
             if col.len() < 2 {
                 continue;
             }
-            let mut root = find(&parent, self.comp_key[col[0] as usize]);
+            let mut root = find(&mut parent, self.comp_key[col[0] as usize]);
             touched.insert(self.comp_key[col[0] as usize]);
             for &a in &col[1..] {
                 let key = self.comp_key[a as usize];
                 touched.insert(key);
-                let r = find(&parent, key);
+                let r = find(&mut parent, key);
                 if r != root {
                     let (lo, hi) = (root.min(r), root.max(r));
                     parent.insert(hi, lo);
@@ -344,13 +383,13 @@ impl IncrementalSolver {
         // component keys ascending, then the group's new column ids
         let mut groups: BTreeMap<u32, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
         for &k in &touched {
-            groups.entry(find(&parent, k)).or_default().0.push(k);
+            groups.entry(find(&mut parent, k)).or_default().0.push(k);
         }
-        for (i, col) in delta.columns().iter().enumerate() {
+        for (i, col) in new_cols.iter().enumerate() {
             if col.len() < 2 {
                 continue;
             }
-            let root = find(&parent, self.comp_key[col[0] as usize]);
+            let root = find(&mut parent, self.comp_key[col[0] as usize]);
             groups.get_mut(&root).expect("new column's group exists").1.push((m0 + i) as u32);
         }
         // re-solve each merged group, first failure (in min-atom order)
@@ -382,14 +421,9 @@ impl IncrementalSolver {
                     staged.push((root, keys.clone(), Comp { atoms, col_ids, order: fragment }))
                 }
                 Err(rej) => {
-                    // certify against the tentatively extended ensemble —
-                    // the exact input one-shot extraction would see —
-                    // then roll every trace of the push back
-                    let cert = certify_rejection(&self.ens, rej);
-                    self.ens.truncate_columns(m0);
                     self.stats.rejected_pushes += 1;
                     self.stats.components_resolved += (staged.len() + 1) as u64;
-                    return Err(cert);
+                    return Err(rej);
                 }
             }
         }
@@ -410,7 +444,7 @@ impl IncrementalSolver {
             self.materialized_atoms += comp.atoms.len();
             self.comps.insert(root, comp);
         }
-        for col in delta.columns() {
+        for col in &self.ens.columns()[m0..] {
             self.hash = fnv_fold_col(self.hash, col);
         }
         // splice: materialized fragments and implicit singletons share
@@ -429,7 +463,7 @@ impl IncrementalSolver {
                 self.order.push(a);
             }
         }
-        Ok(self.order.clone())
+        Ok(())
     }
 }
 
@@ -545,14 +579,25 @@ mod tests {
         let h2 = live.stream_hash();
         // ... and replay it on a twin: state must be bit-identical
         let mut twin = IncrementalSolver::new(8);
-        twin.replay_accepted(&d1, h1).unwrap();
-        twin.replay_accepted(&d2, h2).unwrap();
+        twin.replay_accepted(d1.clone(), h1).unwrap();
+        twin.replay_accepted(d2.clone(), h2).unwrap();
         assert_eq!(twin.stream_hash(), live.stream_hash());
         assert_eq!(twin.order(), live.order());
         assert_eq!(twin.ensemble(), live.ensemble());
+        // ... or in one call on the concatenation, checked against the
+        // last recorded hash: the same state from a single push
+        let mut once = IncrementalSolver::new(8);
+        let mut both = d1.clone();
+        both.append(d2);
+        once.replay_accepted(both, h2).unwrap();
+        assert_eq!(once.stream_hash(), live.stream_hash());
+        assert_eq!(once.order(), live.order());
+        assert_eq!(once.ensemble(), live.ensemble());
+        assert_eq!(once.n_components(), live.n_components());
+        assert_eq!(once.stats().pushes, 1);
         // a wrong recorded hash refuses without touching the session
         let mut cold = IncrementalSolver::new(8);
-        let err = cold.replay_accepted(&d1, h1 ^ 1).unwrap_err();
+        let err = cold.replay_accepted(d1, h1 ^ 1).unwrap_err();
         assert_eq!(err, ReplayError::HashMismatch { expected: h1 ^ 1, actual: h1 });
         assert_eq!(cold.ensemble().n_columns(), 0, "refused replay leaves no trace");
         assert_eq!(cold.stats().pushes, 0);
@@ -564,7 +609,7 @@ mod tests {
         for col in bad.columns() {
             forged = fnv_fold_col(forged, col);
         }
-        assert_eq!(probe.replay_accepted(&bad, forged), Err(ReplayError::Rejected));
+        assert_eq!(probe.replay_accepted(bad, forged), Err(ReplayError::Rejected));
         assert_eq!(probe.ensemble().n_columns(), 0, "rejected replay rolled back");
     }
 

@@ -155,6 +155,18 @@ impl Ensemble {
         self.columns.truncate(n_cols);
     }
 
+    /// Moves every column of `other` onto the end of this ensemble,
+    /// without copying or re-validating them (`other` already holds the
+    /// invariants).
+    ///
+    /// # Panics
+    ///
+    /// If the two atom counts differ.
+    pub fn append(&mut self, other: Ensemble) {
+        assert_eq!(other.n_atoms, self.n_atoms, "appended ensemble must match the atom count");
+        self.columns.extend(other.columns);
+    }
+
     /// Number of atoms `n = |A|`.
     #[inline]
     pub fn n_atoms(&self) -> usize {

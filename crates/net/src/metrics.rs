@@ -281,6 +281,7 @@ pub const STABLE_NAMES: &[&str] = &[
     "c1pd_quarantined_wals_total",
     "c1pd_snapshot_writes_total",
     "c1pd_warm_start_hits_total",
+    "c1pd_recovery_seconds_total",
     // front-end
     "c1pd_connections_accepted_total",
     "c1pd_connections_refused_total",
@@ -418,6 +419,8 @@ impl Metrics {
         c(&mut out, "c1pd_quarantined_wals_total", sum.quarantined_wals);
         c(&mut out, "c1pd_snapshot_writes_total", sum.snapshot_writes);
         c(&mut out, "c1pd_warm_start_hits_total", sum.warm_start_hits);
+        head(&mut out, "c1pd_recovery_seconds_total");
+        let _ = writeln!(out, "c1pd_recovery_seconds_total {:.6}", sum.recovery_us as f64 / 1e6);
         c(&mut out, "c1pd_connections_accepted_total", self.connections_accepted_total.get());
         c(&mut out, "c1pd_connections_refused_total", self.connections_refused_total.get());
         g(&mut out, "c1pd_connections_open", self.connections_open.get());
@@ -550,6 +553,7 @@ mod tests {
             wal_fsyncs: 1,
             recovered_sessions: 1,
             quarantined_wals: 1,
+            recovery_us: 1,
             snapshot_writes: 1,
             warm_start_hits: 1,
             wal_faults_injected: 1,
@@ -570,6 +574,15 @@ mod tests {
                         env!("CARGO_PKG_VERSION")
                     ),
                 ),
+                // seconds render fractional: 1 µs is 0.000001
+                "c1pd_recovery_seconds_total" => {
+                    let v = dump
+                        .lines()
+                        .find_map(|l| l.strip_prefix("c1pd_recovery_seconds_total "))
+                        .and_then(|v| v.parse::<f64>().ok());
+                    assert!(v.is_some_and(|v| v > 0.0), "{name} rendered {v:?} when exercised");
+                    continue;
+                }
                 // a fresh registry has zero whole seconds of uptime;
                 // presence is the contract, monotonicity is the OS's
                 "c1pd_uptime_seconds" => {
