@@ -4,7 +4,7 @@
 //! cargo run --release -p c1p-bench --bin par_smoke -- --threads 2,4
 //! ```
 //!
-//! Two halves, both fast enough for every-commit CI:
+//! Three checks, all fast enough for every-commit CI:
 //!
 //! 1. **Determinism sweep** — seeded planted + obstruction instances
 //!    solved at each requested thread count; verdict *and* witness
@@ -16,11 +16,21 @@
 //!    The floor is self-relative to the host that recorded it (a 1-core
 //!    recording box floors near 1.0); the gate catches the pool
 //!    regressing to serialization, not absolute perf drift.
+//! 3. **Align-tail gate** — the fastest of 3 sequential solves of
+//!    `planted(2^14, 262)`, one of whose sides decomposes into a rigid
+//!    member with a 9,626-edge ring and 18,775 chords, must spend no more
+//!    time aligning (`PH_ALIGN`) than decomposing (`PH_DECOMPOSE`). Both
+//!    phases are timed in the same solve, so host speed cancels; a `g`
+//!    pick that scans the member once per chord (DESIGN.md §14) makes
+//!    align about ten times decompose there. Meaningful in release builds
+//!    only: a debug build reads align at about 0.7 of decompose even with
+//!    the linear pick.
 //!
 //! Exits nonzero on any mismatch or regression.
 
 use c1p_bench::workloads::planted;
 use c1p_bench::{fmt_secs, median_time};
+use c1p_core::stats::{PH_ALIGN, PH_DECOMPOSE};
 use c1p_matrix::tucker;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -103,6 +113,36 @@ fn main() {
     );
     if speedup < floor {
         eprintln!("FAIL: 4-thread self-relative speedup {speedup:.2}x < floor {floor:.2}x");
+        failures += 1;
+    }
+
+    // 3. align-tail gate
+    println!("\n## align-tail gate (solve_with, planted(2^14, 262), fastest of 3)");
+    let ens = planted(1 << 14, 262);
+    let cfg = c1p_core::Config::default();
+    let (wall, stats) = (0..3)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let (out, stats) = c1p_core::solve_with(&ens, &cfg);
+            assert!(out.is_ok(), "planted instance accepted");
+            (t0.elapsed(), stats)
+        })
+        .min_by_key(|&(wall, _)| wall)
+        .expect("three solves");
+    let align = std::time::Duration::from_nanos(stats.phase_ns[PH_ALIGN]);
+    let decompose = std::time::Duration::from_nanos(stats.phase_ns[PH_DECOMPOSE]);
+    println!(
+        "solve {} | align {} | decompose {}",
+        fmt_secs(wall),
+        fmt_secs(align),
+        fmt_secs(decompose)
+    );
+    if align > decompose {
+        eprintln!(
+            "FAIL: align {} exceeds decompose {} in the same solve",
+            fmt_secs(align),
+            fmt_secs(decompose)
+        );
         failures += 1;
     }
 

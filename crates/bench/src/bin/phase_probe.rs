@@ -1,11 +1,14 @@
 //! Phase-timing + allocation probe for the divide-and-conquer solver.
 //!
 //! ```text
-//! cargo run --release -p c1p-bench --bin phase_probe [log2_n] [reps]
+//! cargo run --release -p c1p-bench --bin phase_probe [log2_n] [reps] [seed]
 //! ```
 //!
 //! `reps` (default 1) solves the same instance that many times and
-//! reports the fastest run.
+//! reports the fastest run. `seed` (default 1) picks the instance,
+//! `planted(2^log2_n, seed)`: `phase_probe 14 3 262` probes the instance
+//! of `par_smoke`'s align-tail gate, one of whose sides decomposes into a
+//! large rigid member (DESIGN.md §14).
 //!
 //! Prints the same per-phase breakdown the request tracer emits as
 //! `solve/<phase>` spans: the phase names come from
@@ -49,7 +52,8 @@ fn main() {
     // best-of-N (default 1): the minimum is the least scheduler-disturbed
     // sample, the right statistic on a busy shared host
     let reps: usize = std::env::args().nth(2).and_then(|a| a.parse().ok()).unwrap_or(1).max(1);
-    let ens = planted(1 << log2_n, 1);
+    let seed: u64 = std::env::args().nth(3).and_then(|a| a.parse().ok()).unwrap_or(1);
+    let ens = planted(1 << log2_n, seed);
     let a0 = ALLOCS.load(Ordering::Relaxed);
     let b0 = BYTES.load(Ordering::Relaxed);
     let t0 = std::time::Instant::now();

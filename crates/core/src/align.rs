@@ -703,75 +703,202 @@ fn lowest_common(tree: &TutteTree, a: MemberId, b: MemberId) -> MemberId {
 /// parallel-group bond hanging off `m`) that constrains the split vertex —
 /// a type-b chord; a type-a chord that does *not* span the downward edge;
 /// or a type-c chord that *does* span it.
+///
+/// One pass over the member's own edge lists, so the pick is linear in
+/// the member plus the group bonds it carries: a rigid's candidates are
+/// its `chords` entries, whose perimeter positions are stored with them
+/// (ring edges never constrain), and the first constraining entry in
+/// `chords` order is `g`.
 fn constraining_edge(
     tree: &TutteTree,
     m: MemberId,
     down_edge: EdgeRef,
     infos: &[ChordInfo],
 ) -> Option<EdgeRef> {
-    let member = &tree.members[m as usize];
-    // chord-bearing edges: direct chords, plus virts to parallel-group bonds
-    let mut entries: Vec<(EdgeRef, Vec<u32>)> = Vec::new();
-    for e in member.edges() {
-        match e {
-            EdgeRef::Chord(c) => entries.push((e, vec![c])),
-            EdgeRef::Virt(v) => {
-                let child = tree.virt_child[v as usize];
-                if child != m && tree.members[child as usize].kind() == MemberKind::Bond {
-                    let chords: Vec<u32> = tree.members[child as usize]
-                        .edges()
-                        .into_iter()
-                        .filter_map(|e| match e {
-                            EdgeRef::Chord(c) => Some(c),
-                            _ => None,
-                        })
-                        .collect();
-                    if !chords.is_empty() && tree.virt_parent[v as usize] == m {
-                        entries.push((e, chords));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    if entries.is_empty() {
-        return None;
-    }
-    match member.kind() {
-        MemberKind::Bond => {
+    match &tree.members[m as usize].shape {
+        MemberShape::Bond { edges } => {
             // A bond chord spans exactly the carrier content the chain runs
             // through. Type-b chords must touch the split vertex and type-c
             // chords must not contain it, so both pin the junction to the
             // bond boundary; type-a chords span any interior vertex and
             // constrain nothing.
-            entries
+            edges
                 .iter()
-                .find(|(_, cs)| cs.iter().any(|&c| infos[c as usize].ty != CrossType::A))
-                .map(|&(e, _)| e)
+                .copied()
+                .find(|&e| carries_any(tree, m, e, |c| infos[c as usize].ty != CrossType::A))
         }
-        MemberKind::Polygon => None,
-        MemberKind::Rigid => {
-            let t = ring_len(tree, m);
-            let down = attach_of(tree, m, down_edge);
-            let di = match down {
+        MemberShape::Polygon { .. } => None,
+        MemberShape::Rigid { chords, .. } => {
+            let di = match attach_of(tree, m, down_edge) {
                 Attach::Ring(j) => j,
                 Attach::Chord(a, _) => a,
                 Attach::Everywhere => unreachable!(),
             };
-            let spans_down = |a: u32, b: u32| a <= di && di < b;
-            let _ = t;
-            for (e, cs) in &entries {
-                let Attach::Chord(a, b) = attach_of(tree, m, *e) else { continue };
-                for &c in cs {
-                    match infos[c as usize].ty {
-                        CrossType::B => return Some(*e),
-                        CrossType::A if !spans_down(a, b) => return Some(*e),
-                        CrossType::C if spans_down(a, b) => return Some(*e),
-                        _ => {}
+            chords
+                .iter()
+                .find(|&&(a, b, e)| {
+                    let spans_down = a <= di && di < b;
+                    carries_any(tree, m, e, |c| match infos[c as usize].ty {
+                        CrossType::A => !spans_down,
+                        CrossType::B => true,
+                        CrossType::C => spans_down,
+                    })
+                })
+                .map(|&(_, _, e)| e)
+        }
+    }
+}
+
+/// Does edge `e` of member `m` carry an input chord satisfying `f`? An
+/// edge carries itself if it is a chord, and every chord of the
+/// parallel-group bond below it if it is a marker to one.
+fn carries_any(tree: &TutteTree, m: MemberId, e: EdgeRef, f: impl Fn(u32) -> bool) -> bool {
+    match e {
+        EdgeRef::Chord(c) => f(c),
+        EdgeRef::Virt(v) if tree.virt_parent[v as usize] == m => {
+            match &tree.members[tree.virt_child[v as usize] as usize].shape {
+                MemberShape::Bond { edges } => {
+                    edges.iter().any(|&e| matches!(e, EdgeRef::Chord(c) if f(c)))
+                }
+                _ => false,
+            }
+        }
+        _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use c1p_matrix::generate::{planted_c1p, PlantedShape};
+    use rand::rngs::SmallRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The entries-based `g`-selection that [`constraining_edge`]
+    /// replaced, kept as its reference: it lists every chord-bearing edge
+    /// of `member.edges()` (ring first, then chords) with the chords it
+    /// carries, and locates each entry with `attach_of`, a scan of the
+    /// member per entry.
+    fn constraining_edge_reference(
+        tree: &TutteTree,
+        m: MemberId,
+        down_edge: EdgeRef,
+        infos: &[ChordInfo],
+    ) -> Option<EdgeRef> {
+        let member = &tree.members[m as usize];
+        let mut entries: Vec<(EdgeRef, Vec<u32>)> = Vec::new();
+        for e in member.edges() {
+            match e {
+                EdgeRef::Chord(c) => entries.push((e, vec![c])),
+                EdgeRef::Virt(v) => {
+                    let child = tree.virt_child[v as usize];
+                    if child != m && tree.members[child as usize].kind() == MemberKind::Bond {
+                        let chords: Vec<u32> = tree.members[child as usize]
+                            .edges()
+                            .into_iter()
+                            .filter_map(|e| match e {
+                                EdgeRef::Chord(c) => Some(c),
+                                _ => None,
+                            })
+                            .collect();
+                        if !chords.is_empty() && tree.virt_parent[v as usize] == m {
+                            entries.push((e, chords));
+                        }
                     }
                 }
+                _ => {}
             }
-            None
         }
+        if entries.is_empty() {
+            return None;
+        }
+        match member.kind() {
+            MemberKind::Bond => entries
+                .iter()
+                .find(|(_, cs)| cs.iter().any(|&c| infos[c as usize].ty != CrossType::A))
+                .map(|&(e, _)| e),
+            MemberKind::Polygon => None,
+            MemberKind::Rigid => {
+                let di = match attach_of(tree, m, down_edge) {
+                    Attach::Ring(j) => j,
+                    Attach::Chord(a, _) => a,
+                    Attach::Everywhere => unreachable!(),
+                };
+                let spans_down = |a: u32, b: u32| a <= di && di < b;
+                for (e, cs) in &entries {
+                    let Attach::Chord(a, b) = attach_of(tree, m, *e) else { continue };
+                    for &c in cs {
+                        match infos[c as usize].ty {
+                            CrossType::B => return Some(*e),
+                            CrossType::A if !spans_down(a, b) => return Some(*e),
+                            CrossType::C if spans_down(a, b) => return Some(*e),
+                            _ => {}
+                        }
+                    }
+                }
+                None
+            }
+        }
+    }
+
+    /// One side's chords: the columns of a seeded planted instance as
+    /// spans in its hidden order, each given a crossing type skewed to
+    /// type c (about 90% c, 7% a, 3% b) so the first constraining chord
+    /// of a member tends to sit late in its chord list.
+    fn skewed_side(rng: &mut SmallRng) -> (usize, Vec<ChordInfo>) {
+        let n = rng.random_range(8..=480usize);
+        let shape = PlantedShape { n_atoms: n, n_columns: n, min_len: 2, max_len: n / 4 + 2 };
+        let (ens, hidden) = planted_c1p(shape, rng);
+        let mut pos = vec![0u32; n];
+        for (i, &a) in hidden.iter().enumerate() {
+            pos[a as usize] = i as u32;
+        }
+        let infos = ens
+            .columns()
+            .iter()
+            .map(|col| {
+                let lo = col.iter().map(|&a| pos[a as usize]).min().expect("nonempty column");
+                let ty = match rng.random_range(0..100u32) {
+                    0..90 => CrossType::C,
+                    90..97 => CrossType::A,
+                    _ => CrossType::B,
+                };
+                ChordInfo { span: (lo, lo + col.len() as u32), ty }
+            })
+            .collect();
+        (n, infos)
+    }
+
+    /// The linear pick returns the reference's `g` for every member that
+    /// has a child, given the marker to that child as the downward edge.
+    #[test]
+    fn constraining_edge_matches_the_entries_scan() {
+        let mut rng = SmallRng::seed_from_u64(422);
+        let (mut compared, mut rigid_late, mut bond_picks) = (0usize, 0usize, 0usize);
+        for _ in 0..400 {
+            let (n, infos) = skewed_side(&mut rng);
+            let spans: Vec<(u32, u32)> = infos.iter().map(|i| i.span).collect();
+            let tree = c1p_tutte::decompose(n, &spans).expect("planted spans are valid");
+            for member in &tree.members {
+                let Some((m, v)) = member.parent else { continue };
+                let down = EdgeRef::Virt(v);
+                let got = constraining_edge(&tree, m, down, &infos);
+                let want = constraining_edge_reference(&tree, m, down, &infos);
+                assert_eq!(got, want, "member {m}, down edge {down:?}, n = {n}");
+                compared += 1;
+                match (&tree.members[m as usize].shape, got) {
+                    (MemberShape::Rigid { chords, .. }, Some(g)) if g != chords[0].2 => {
+                        rigid_late += 1
+                    }
+                    (MemberShape::Bond { .. }, Some(_)) => bond_picks += 1,
+                    _ => {}
+                }
+            }
+        }
+        eprintln!(
+            "{compared} picks compared: {rigid_late} rigid past the first chord, {bond_picks} bond"
+        );
+        assert!(rigid_late > 0, "no rigid pick past the first chord exercised");
+        assert!(bond_picks > 0, "no bond pick exercised");
     }
 }

@@ -334,7 +334,7 @@ fn check_metrics(addr: &str, expect_hits: bool, extra: &[&str]) -> bool {
     exercised.extend_from_slice(extra);
     for series in exercised {
         match c1p_net::metrics::scrape(&dump, series) {
-            Some(v) if v > 0 => {}
+            Some(v) if v > 0.0 => {}
             got => {
                 eprintln!("FAIL: metric {series} should be nonzero after this load, got {got:?}");
                 ok = false;
@@ -485,7 +485,8 @@ fn check_latency_agreement(addr: &str, completed: u64) -> bool {
         ok = false;
     }
     let inf = *cumulative.last().expect("nonempty") as i64;
-    let count = c1p_net::metrics::scrape(&dump, "c1pd_frame_latency_us_count").unwrap_or(-1);
+    let count =
+        c1p_net::metrics::scrape(&dump, "c1pd_frame_latency_us_count").map_or(-1, |v| v as i64);
     if inf != count {
         eprintln!("FAIL: +Inf bucket {inf} disagrees with histogram count {count}");
         ok = false;
@@ -1386,7 +1387,7 @@ fn chaos_main(args: &[String]) {
 
     // the chaos must be real: scrape the proof before killing the server
     let mut failed = false;
-    let scrape = |dump: &str, name: &str| c1p_net::metrics::scrape(dump, name).unwrap_or(-1);
+    let scrape = |dump: &str, name: &str| c1p_net::metrics::scrape(dump, name).unwrap_or(-1.0);
     match fetch_metrics_retry(&addr, 10) {
         Some(dump) => {
             let injected = scrape(&dump, "c1pd_faults_injected_total");
@@ -1398,11 +1399,11 @@ fn chaos_main(args: &[String]) {
                 "server: faults injected {injected} | shard restarts {restarts} | \
                  swept replies {swept} | deadline reaps {reaped} | handshake queries {queries}"
             );
-            if injected < 1 {
+            if injected < 1.0 {
                 eprintln!("FAIL: the fault plan never fired — this was not a chaos run");
                 failed = true;
             }
-            if restarts < 1 {
+            if restarts < 1.0 {
                 eprintln!("FAIL: no supervised shard restart happened");
                 failed = true;
             }

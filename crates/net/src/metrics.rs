@@ -482,8 +482,9 @@ impl Metrics {
 /// For histograms pass the `_count`/`_sum` form; for labelled series the
 /// full `name{label}` prefix. `# HELP`/`# TYPE` comment lines are
 /// skipped, and only the first value token is parsed, so bucket lines
-/// carrying an exemplar suffix scrape like any other.
-pub fn scrape(dump: &str, series: &str) -> Option<i64> {
+/// carrying an exemplar suffix scrape like any other. Values parse as
+/// `f64`: counters render as integers, `_seconds` series fractionally.
+pub fn scrape(dump: &str, series: &str) -> Option<f64> {
     dump.lines().filter(|l| !l.starts_with('#')).find_map(|l| {
         let rest = l.strip_prefix(series)?;
         let rest = rest.strip_prefix(' ')?;
@@ -574,15 +575,6 @@ mod tests {
                         env!("CARGO_PKG_VERSION")
                     ),
                 ),
-                // seconds render fractional: 1 µs is 0.000001
-                "c1pd_recovery_seconds_total" => {
-                    let v = dump
-                        .lines()
-                        .find_map(|l| l.strip_prefix("c1pd_recovery_seconds_total "))
-                        .and_then(|v| v.parse::<f64>().ok());
-                    assert!(v.is_some_and(|v| v > 0.0), "{name} rendered {v:?} when exercised");
-                    continue;
-                }
                 // a fresh registry has zero whole seconds of uptime;
                 // presence is the contract, monotonicity is the OS's
                 "c1pd_uptime_seconds" => {
@@ -592,7 +584,7 @@ mod tests {
                 _ => scrape(&dump, name),
             };
             let v = probe.unwrap_or_else(|| panic!("{name} missing from dump"));
-            assert!(v > 0, "{name} rendered zero after being exercised");
+            assert!(v > 0.0, "{name} rendered zero after being exercised");
         }
     }
 
@@ -611,7 +603,7 @@ mod tests {
         assert!(dump.contains("# TYPE c1pd_queue_depth gauge"));
         assert!(dump.contains("# TYPE c1pd_frame_latency_us histogram"));
         // comments never shadow values
-        assert_eq!(scrape(&dump, "c1pd_requests_total"), Some(0));
+        assert_eq!(scrape(&dump, "c1pd_requests_total"), Some(0.0));
     }
 
     /// Exemplars render as a ` # {trace_id="..."}` suffix on the exact
@@ -625,7 +617,7 @@ mod tests {
         let mut out = String::new();
         h.render("lat", &mut out);
         assert!(out.contains("lat_bucket{le=\"4\"} 1 # {trace_id=\"000000000000abcd\"}"));
-        assert_eq!(scrape(&out, "lat_bucket{le=\"4\"}"), Some(1), "exemplar breaks scraping");
+        assert_eq!(scrape(&out, "lat_bucket{le=\"4\"}"), Some(1.0), "exemplar breaks scraping");
         // a newer retained trace in the same bucket replaces the exemplar
         h.observe_us(4);
         h.attach_exemplar(4, 0xbeef);
@@ -649,7 +641,7 @@ mod tests {
         m.faults_injected_total.add(3);
         let engine = EngineStats { wal_faults_injected: 2, ..EngineStats::default() };
         let dump = m.render(&[engine]);
-        assert_eq!(scrape(&dump, "c1pd_faults_injected_total"), Some(5));
+        assert_eq!(scrape(&dump, "c1pd_faults_injected_total"), Some(5.0));
     }
 
     #[test]
@@ -686,9 +678,10 @@ mod tests {
 
     #[test]
     fn scrape_reads_exact_series_only() {
-        let dump = "a_total 5\na_total_more 7\nb{shard=\"1\"} 9\n";
-        assert_eq!(scrape(dump, "a_total"), Some(5));
-        assert_eq!(scrape(dump, "b{shard=\"1\"}"), Some(9));
+        let dump = "a_total 5\na_total_more 7\nb{shard=\"1\"} 9\nc_seconds_total 0.074000\n";
+        assert_eq!(scrape(dump, "a_total"), Some(5.0));
+        assert_eq!(scrape(dump, "b{shard=\"1\"}"), Some(9.0));
+        assert_eq!(scrape(dump, "c_seconds_total"), Some(0.074));
         assert_eq!(scrape(dump, "missing"), None);
     }
 }

@@ -165,10 +165,10 @@ fn dropped_replies_never_double_apply_across_seeds_and_shard_counts() {
             other => panic!("expected Metrics, got {other:?}"),
         };
         let served = c1p_net::metrics::scrape(&dump, "c1pd_retries_total").expect("stable name");
-        assert!(served > 0, "the server must have served the handshake queries");
+        assert!(served > 0.0, "the server must have served the handshake queries");
         let injected =
             c1p_net::metrics::scrape(&dump, "c1pd_faults_injected_total").expect("stable name");
-        assert!(injected > 0, "the drop schedule must actually have fired");
+        assert!(injected > 0.0, "the drop schedule must actually have fired");
     }
 }
 
@@ -207,10 +207,10 @@ fn injected_worker_kills_are_supervised_and_sessions_recover_from_the_wal() {
     };
     let restarts =
         c1p_net::metrics::scrape(&dump, "c1pd_shard_restarts_total").expect("stable name");
-    assert!(restarts >= 1, "kill-every-4 over two streams must restart at least one worker");
+    assert!(restarts >= 1.0, "kill-every-4 over two streams must restart at least one worker");
     let swept =
         c1p_net::metrics::scrape(&dump, "c1pd_degraded_replies_total").expect("stable name");
-    assert!(swept >= 1, "a killed batch's requests must be answered Unavailable, not dropped");
+    assert!(swept >= 1.0, "a killed batch's requests must be answered Unavailable, not dropped");
     drop(server);
     let _ = std::fs::remove_dir_all(&wal);
 }

@@ -235,12 +235,12 @@ fn metrics_dump_carries_durability_counters() {
     for series in ["c1pd_wal_appends_total", "c1pd_wal_fsyncs_total", "c1pd_session_pushes_total"] {
         let v = c1p_net::metrics::scrape(&dump, series)
             .unwrap_or_else(|| panic!("{series} missing from the dump"));
-        assert!(v > 0, "{series} should be nonzero after durable pushes, got {v}");
+        assert!(v > 0.0, "{series} should be nonzero after durable pushes, got {v}");
     }
     for series in ["c1pd_quarantined_wals_total", "c1pd_recovered_sessions_total"] {
         assert_eq!(
             c1p_net::metrics::scrape(&dump, series),
-            Some(0),
+            Some(0.0),
             "{series} must render (as zero) on a healthy first boot"
         );
     }
