@@ -543,17 +543,14 @@ fn e10() {
     println!("\nwrote BENCH_solve.json");
 }
 
-/// Drives `schedule` through a live in-process server over loopback TCP
-/// and returns closed-loop requests/s. `shards == 0` selects the legacy
-/// thread-per-connection mode; otherwise the event loop with that many
-/// shards. `idle` extra connections are opened first and held silent for
-/// the whole run — the event loop should shrug them off, the legacy mode
-/// pays a thread each.
+/// Drives `schedule` through a live in-process event-loop server with
+/// `shards` shards over loopback TCP and returns closed-loop requests/s.
+/// `idle` extra connections are opened first and held silent for the
+/// whole run; each costs the loop one pollfd per wakeup.
 fn served_rps(shards: usize, conns: usize, idle: usize, schedule: &[c1p_matrix::Ensemble]) -> f64 {
     use c1p_engine::proto::{encode_msg, read_frame, write_frame, Msg, DEFAULT_MAX_FRAME};
-    use c1p_engine::EngineConfig;
+    use c1p_net::event_loop::EventLoopOpts;
     use c1p_net::metrics::Metrics;
-    use c1p_net::ServerOpts;
     use std::io::{BufReader, BufWriter, Write as _};
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -563,27 +560,16 @@ fn served_rps(shards: usize, conns: usize, idle: usize, schedule: &[c1p_matrix::
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-    let opts = ServerOpts { max_conns: conns + idle + 8, ..ServerOpts::default() };
-    let drain = Duration::from_secs(5);
-    let server = if shards == 0 {
-        let metrics = Arc::new(Metrics::new(1));
-        std::thread::spawn(move || {
-            c1p_net::legacy::serve(listener, EngineConfig::default(), &opts, drain, stop, &metrics)
-                .map(|_| ())
-        })
-    } else {
-        let el = c1p_net::event_loop::EventLoopOpts {
-            shards,
-            server: opts,
-            engine_cfg: EngineConfig::default(),
-            drain,
-            ..Default::default()
-        };
-        let metrics = Arc::new(Metrics::new(shards));
-        std::thread::spawn(move || {
-            c1p_net::event_loop::serve(listener, &el, stop, &metrics).map(|_| ())
-        })
+    let opts = EventLoopOpts {
+        shards,
+        max_conns: conns + idle + 8,
+        drain: Duration::from_secs(5),
+        ..EventLoopOpts::default()
     };
+    let metrics = Arc::new(Metrics::new(shards));
+    let server = std::thread::spawn(move || {
+        c1p_net::event_loop::serve(listener, &opts, stop, &metrics).map(|_| ())
+    });
 
     let idle_conns: Vec<TcpStream> =
         (0..idle).map(|_| TcpStream::connect(addr).expect("idle connect")).collect();
@@ -616,8 +602,8 @@ fn served_rps(shards: usize, conns: usize, idle: usize, schedule: &[c1p_matrix::
 /// E11 — machine-readable serving benchmarks: writes `BENCH_serve.json`
 /// (engine throughput, closed-loop latency percentiles, cache hit rate,
 /// cold-vs-hot speedup at n=2^12, a self-relative batch-size sweep, and
-/// a live shard x connection sweep over loopback TCP — both server
-/// modes, including each under 1000 held-open idle connections),
+/// a live shard x connection sweep over loopback TCP, plus the 4-shard,
+/// 4-connection cell again under 1000 held-open idle connections),
 /// host_threads-annotated so the numbers stay honest on a 1-core recorder.
 /// See DESIGN.md §8 and §11.
 fn e11() {
@@ -740,40 +726,35 @@ fn e11() {
     }
     println!("self-relative batch-64 gain over batch-1: {gain:.2}x");
 
-    // shard x connection sweep over real loopback TCP, both server
-    // modes: shards=0 encodes the legacy thread-per-connection front-end
-    // (one engine, no shard routing). On a 1-core host the cells are
-    // self-relative — what they isolate is front-end overhead, not
-    // parallel speedup.
+    // shard x connection sweep over real loopback TCP. On a small host
+    // the cells are self-relative — what they isolate is front-end
+    // overhead, not parallel speedup.
     println!("\nserved sweep (live loopback, {} requests per cell):", schedule.len());
     let mut served: Vec<(usize, usize, f64)> = Vec::new();
-    for &shards in &[0usize, 1, 2, 4] {
+    for &shards in &[1usize, 2, 4] {
         for &conns in &[1usize, 4, 16] {
             let rps = served_rps(shards, conns, 0, &schedule);
-            let mode = if shards == 0 { "legacy".into() } else { format!("el/{shards}") };
-            println!("  {mode:<8} conns={conns:<3} {rps:>8.0} req/s");
+            println!("  shards={shards} conns={conns:<3} {rps:>8.0} req/s");
             served.push((shards, conns, rps));
         }
     }
 
-    // 1000 idle connections held open for the whole run: the legacy mode
-    // pays a parked thread per connection, the event loop pays one
-    // pollfd slot
-    let idle_legacy = served_rps(0, 4, 1000, &schedule);
+    // 1000 idle connections held open for the whole run, against the
+    // same 4-shard, 4-connection cell without them from this run: poll(2)
+    // rescans every idle fd on every wakeup, so the ratio is the cost an
+    // epoll backend would remove
     let idle_el = served_rps(4, 4, 1000, &schedule);
+    let busy_el = served.iter().find(|&&(s, c, _)| (s, c) == (4, 4)).expect("4x4 cell").2;
+    let idle_ratio = idle_el / busy_el.max(1e-9);
     println!(
-        "under 1000 idle conns: legacy {idle_legacy:.0} req/s | event-loop/4 {idle_el:.0} req/s"
+        "4 shards, 4 conns: {busy_el:.0} req/s alone | {idle_el:.0} req/s with 1000 idle conns \
+         ({idle_ratio:.2}x)"
     );
 
     let served_json = served
         .iter()
         .map(|&(shards, conns, rps)| {
-            let mode = if shards == 0 { "legacy" } else { "event_loop" };
-            format!(
-                "{{\"mode\": \"{mode}\", \"shards\": {}, \"conns\": {conns}, \
-                 \"rps\": {rps:.1}}}",
-                shards.max(1)
-            )
+            format!("{{\"shards\": {shards}, \"conns\": {conns}, \"rps\": {rps:.1}}}")
         })
         .collect::<Vec<_>>()
         .join(",\n  ");
@@ -797,11 +778,12 @@ fn e11() {
          \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}},\n\
          \"batch_sweep_ns\": {{{sweep_json}}},\n\
          \"batch64_gain_over_batch1\": {gain:.3},\n\
-         \"served_sweep\": {{\"requests\": {}, \"note\": \"live c1pd front-ends over \
-         loopback TCP, closed loop; shards apply to event_loop only\", \"cells\": [\n  \
+         \"served_sweep\": {{\"requests\": {}, \"note\": \"live c1pd event loop over \
+         loopback TCP, closed loop\", \"cells\": [\n  \
          {served_json}\n]}},\n\
-         \"idle_1k\": {{\"idle_conns\": 1000, \"active_conns\": 4, \
-         \"legacy_rps\": {idle_legacy:.1}, \"event_loop4_rps\": {idle_el:.1}}},\n\
+         \"idle_1k\": {{\"idle_conns\": 1000, \"active_conns\": 4, \"shards\": 4, \
+         \"rps\": {idle_el:.1}, \"no_idle_rps\": {busy_el:.1}, \
+         \"ratio\": {idle_ratio:.3}}},\n\
          \"session_mix\": {{\"streams\": {}, \"pushes_per_stream\": 6, \
          \"ops\": {session_ops}, \"ops_per_s\": {session_ops_s:.1}, \
          \"wall_ns\": {}, \"workload\": \"append_stream(n in {{64,112,160}}, \

@@ -7,14 +7,14 @@
 //! testing as a repeated-query primitive over evolving instance families):
 //!
 //! * **one shared pool** — [`Engine::new`] builds the work-stealing pool
-//!   once; every request, batch and background drain runs `install`ed on
-//!   it, so scheduling state is resolved per engine, not per call;
-//! * **batching** — [`Engine::submit`] enqueues into a submission queue
-//!   with admission control ([`EngineConfig::max_queue`]); a background
-//!   batcher drains up to [`EngineConfig::max_batch`] requests at a time.
-//!   Small instances (≤ [`EngineConfig::small_cutoff`] atoms) fan out
-//!   *across* the pool — each solved sequentially, many at once — while
-//!   large instances take the parallel divide path one at a time
+//!   once; every request, batch and recovery runs `install`ed on it, so
+//!   scheduling state is resolved per engine, not per call;
+//! * **batching** — [`Engine::solve_batch`] solves whatever batch its
+//!   caller hands it (`c1pd`'s shard workers drain their mailbox into
+//!   one; queue depth and batch size are the front end's admission
+//!   knobs). Small instances (≤ [`EngineConfig::small_cutoff`] atoms)
+//!   fan out *across* the pool — each solved sequentially, many at once —
+//!   while large instances take the parallel divide path one at a time
 //!   ([`c1p_core::parallel`]'s `solve_par`), which parallelizes *within*
 //!   the instance;
 //! * **caching** — results are keyed by the hash-consed canonical ensemble
@@ -39,8 +39,8 @@
 //!
 //! The wire front-end (`c1pd`, a std-only TCP server speaking the
 //! length-prefixed [`proto`] frames) and its closed-loop traffic generator
-//! (`load_driver`) live in `src/bin/`. DESIGN.md §8 specifies the formats
-//! and policies.
+//! (`load_driver`) live in the `c1p-net` crate. DESIGN.md §8 specifies
+//! the formats and policies.
 
 mod cache;
 mod canonical;
@@ -54,11 +54,11 @@ use c1p_core::{Rejection, SolveStats};
 use c1p_incremental::IncrementalSolver;
 use c1p_matrix::io::WireVerdict;
 use c1p_matrix::{Atom, Ensemble};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -71,15 +71,10 @@ pub struct EngineConfig {
     /// LRU result-cache budget in bytes. `0` disables caching (in-flight
     /// coalescing still works — it lives outside the cache).
     pub cache_bytes: usize,
-    /// Maximum requests drained into one batch by the background batcher.
-    pub max_batch: usize,
     /// Instances with at most this many atoms are solved sequentially and
     /// batched across the pool; larger ones take the parallel divide path
     /// individually.
     pub small_cutoff: usize,
-    /// Admission control: submissions beyond this queue depth are rejected
-    /// with [`EngineError::Overloaded`].
-    pub max_queue: usize,
     /// Admission control: instances with more atoms than this are rejected
     /// with [`EngineError::TooLarge`].
     pub max_atoms: usize,
@@ -200,9 +195,7 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: 0,
             cache_bytes: 64 << 20,
-            max_batch: 64,
             small_cutoff: 2048,
-            max_queue: 4096,
             max_atoms: 1 << 22,
             max_sessions: 64,
             session_idle_ms: 300_000,
@@ -219,7 +212,8 @@ impl Default for EngineConfig {
 /// Why the engine refused (not failed to solve) a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// The submission queue is at [`EngineConfig::max_queue`].
+    /// A capacity limit is reached: [`EngineConfig::max_sessions`] here,
+    /// or a front end's in-flight queue cap (`c1pd`'s `--max-queue`).
     Overloaded,
     /// The instance exceeds [`EngineConfig::max_atoms`].
     TooLarge {
@@ -327,8 +321,7 @@ impl Verdict {
 /// A point-in-time statistics snapshot ([`Engine::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Requests accepted into [`Engine::solve`]/[`Engine::solve_batch`]
-    /// (submissions included — the batcher funnels into `solve_batch`).
+    /// Requests accepted into [`Engine::solve`]/[`Engine::solve_batch`].
     pub requests: u64,
     /// `solve_batch` invocations (a single [`Engine::solve`] counts one).
     pub batches: u64,
@@ -339,7 +332,9 @@ pub struct EngineStats {
     /// Requests that found their instance already in flight and waited for
     /// the owner instead of recomputing.
     pub coalesced: u64,
-    /// Submissions rejected by admission control.
+    /// Requests refused with [`EngineError::Overloaded`]: session opens
+    /// over [`EngineConfig::max_sessions`] here; `c1pd` adds the solves
+    /// its front end refuses at the queue cap.
     pub overloaded: u64,
     /// Small instances fanned out across the pool.
     pub batched_small: u64,
@@ -537,21 +532,6 @@ impl InFlight {
     }
 }
 
-struct Submission {
-    ens: Ensemble,
-    tx: mpsc::Sender<Result<Verdict, EngineError>>,
-    /// Sampled request's span recorder plus its enqueue offset (the
-    /// `queue` span start). `None` for unsampled requests — every trace
-    /// hook downstream is a no-op then.
-    trace: Option<Arc<trace::ReqTrace>>,
-    enq_us: u64,
-}
-
-struct QueueState {
-    items: VecDeque<Submission>,
-    shutdown: bool,
-}
-
 /// One live incremental session (engine side): the solver, the idle
 /// clock, and the memory account. Each session has its own lock, so a
 /// slow push serializes only its own session, never its neighbours.
@@ -585,8 +565,6 @@ struct Inner {
     pool: rayon::ThreadPool,
     cache: Mutex<cache::ResultCache>,
     pending: Mutex<HashMap<Arc<[u8]>, Arc<InFlight>>>,
-    queue: Mutex<QueueState>,
-    queue_cv: Condvar,
     sessions: Mutex<HashMap<u64, Arc<Mutex<SessionState>>>>,
     session_seq: AtomicU64,
     stats: Counters,
@@ -603,26 +581,12 @@ struct Inner {
 /// entry points take `&self`.
 pub struct Engine {
     inner: Arc<Inner>,
-    batcher: Option<thread::JoinHandle<()>>,
     snapshotter: Option<thread::JoinHandle<()>>,
 }
 
-/// Handle to a queued submission; [`Ticket::wait`] blocks for the verdict.
-#[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<Verdict, EngineError>>,
-}
-
-impl Ticket {
-    /// Blocks until the batcher answers this submission.
-    pub fn wait(self) -> Result<Verdict, EngineError> {
-        self.rx.recv().unwrap_or(Err(EngineError::ShuttingDown))
-    }
-}
-
 impl Engine {
-    /// Builds the engine: one shared pool, an empty cache, and the
-    /// background batcher thread. With [`EngineConfig::wal_dir`] set this
+    /// Builds the engine: one shared pool and an empty cache. With
+    /// [`EngineConfig::wal_dir`] set this
     /// is also *recovery*: the cache snapshot is loaded (warm start) and
     /// every live session WAL in the directory is replayed back into an
     /// open session — a damaged file is quarantined and counted, never
@@ -635,8 +599,6 @@ impl Engine {
         let inner = Arc::new(Inner {
             cache: Mutex::new(cache::ResultCache::new(cfg.cache_bytes)),
             pending: Mutex::new(HashMap::new()),
-            queue: Mutex::new(QueueState { items: VecDeque::new(), shutdown: false }),
-            queue_cv: Condvar::new(),
             sessions: Mutex::new(HashMap::new()),
             session_seq: AtomicU64::new(0),
             stats: Counters::default(),
@@ -649,13 +611,6 @@ impl Engine {
         if inner.cfg.wal_dir.is_some() {
             recover_durable_state(&inner);
         }
-        let batcher = {
-            let inner = Arc::clone(&inner);
-            thread::Builder::new()
-                .name("c1p-engine-batcher".into())
-                .spawn(move || batcher_loop(&inner))
-                .expect("spawn batcher thread")
-        };
         let snapshotter = if inner.cfg.wal_dir.is_some() && inner.cfg.snapshot_interval_ms > 0 {
             let inner = Arc::clone(&inner);
             Some(
@@ -667,7 +622,7 @@ impl Engine {
         } else {
             None
         };
-        Engine { inner, batcher: Some(batcher), snapshotter }
+        Engine { inner, snapshotter }
     }
 
     /// The configuration this engine was built with.
@@ -698,43 +653,6 @@ impl Engine {
         traces: &[Option<Arc<trace::ReqTrace>>],
     ) -> Vec<Result<Verdict, EngineError>> {
         solve_batch_on(&self.inner, reqs, traces)
-    }
-
-    /// Enqueues an instance for the background batcher. Fails fast with
-    /// [`EngineError::Overloaded`] at [`EngineConfig::max_queue`] depth.
-    pub fn submit(&self, ens: Ensemble) -> Result<Ticket, EngineError> {
-        self.submit_traced(ens, None)
-    }
-
-    /// [`Engine::submit`] with an optional span recorder: the batcher
-    /// records the `queue` (enqueue → drain) and `mailbox` (drain →
-    /// solve start) spans, and the solve path continues into it.
-    pub fn submit_traced(
-        &self,
-        ens: Ensemble,
-        trace: Option<Arc<trace::ReqTrace>>,
-    ) -> Result<Ticket, EngineError> {
-        if ens.n_atoms() > self.inner.cfg.max_atoms {
-            return Err(EngineError::TooLarge {
-                n_atoms: ens.n_atoms(),
-                max_atoms: self.inner.cfg.max_atoms,
-            });
-        }
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = self.inner.queue.lock().expect("queue lock");
-            if q.shutdown {
-                return Err(EngineError::ShuttingDown);
-            }
-            if q.items.len() >= self.inner.cfg.max_queue {
-                self.inner.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::Overloaded);
-            }
-            let enq_us = trace.as_ref().map_or(0, |t| t.now_us());
-            q.items.push_back(Submission { ens, tx, trace, enq_us });
-        }
-        self.inner.queue_cv.notify_one();
-        Ok(Ticket { rx })
     }
 
     /// Opens an incremental session over a fixed atom set. The session
@@ -1076,18 +994,10 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         {
-            let mut q = self.inner.queue.lock().expect("queue lock");
-            q.shutdown = true;
-        }
-        self.inner.queue_cv.notify_all();
-        {
             let mut stop = self.inner.snap_stop.lock().expect("snapshot stop lock");
             *stop = true;
         }
         self.inner.snap_cv.notify_all();
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
         if let Some(h) = self.snapshotter.take() {
             let _ = h.join();
         }
@@ -1221,51 +1131,6 @@ fn snapshot_loop(inner: &Inner) {
         write_snapshot_now(inner);
         if stopped {
             return;
-        }
-    }
-}
-
-/// Drains the submission queue in batches until shutdown (then drains the
-/// backlog and exits).
-fn batcher_loop(inner: &Inner) {
-    loop {
-        let batch: Vec<Submission> = {
-            let mut q = inner.queue.lock().expect("queue lock");
-            loop {
-                if !q.items.is_empty() {
-                    break;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = inner.queue_cv.wait(q).expect("queue wait");
-            }
-            let take = q.items.len().min(inner.cfg.max_batch.max(1));
-            q.items.drain(..take).collect()
-        };
-        let mut enss = Vec::with_capacity(batch.len());
-        let mut txs = Vec::with_capacity(batch.len());
-        let mut traces = Vec::with_capacity(batch.len());
-        let mut mailbox_at = Vec::with_capacity(batch.len());
-        for s in batch {
-            if let Some(t) = &s.trace {
-                t.record("queue", s.enq_us);
-                mailbox_at.push(Some(t.now_us()));
-            } else {
-                mailbox_at.push(None);
-            }
-            enss.push(s.ens);
-            txs.push(s.tx);
-            traces.push(s.trace);
-        }
-        for (t, at) in traces.iter().zip(&mailbox_at) {
-            if let (Some(t), Some(at)) = (t, at) {
-                t.record("mailbox", *at);
-            }
-        }
-        let results = solve_batch_on(inner, &enss, &traces);
-        for (tx, r) in txs.into_iter().zip(results) {
-            let _ = tx.send(r); // receiver may have given up; fine
         }
     }
 }
@@ -1473,35 +1338,12 @@ mod tests {
     use c1p_matrix::io::fig2_matrix;
 
     #[test]
-    fn solve_and_submit_agree_on_fig2() {
-        let engine = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
-        let ens = fig2_matrix();
-        let direct = engine.solve(&ens).unwrap();
-        let queued = engine.submit(ens.clone()).unwrap().wait().unwrap();
-        assert_eq!(direct, queued);
-        assert!(direct.is_c1p());
-        let stats = engine.stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 1);
-    }
-
-    #[test]
-    fn zero_capacity_queue_always_overloads() {
-        let engine =
-            Engine::new(EngineConfig { threads: 1, max_queue: 0, ..EngineConfig::default() });
-        assert_eq!(engine.submit(fig2_matrix()).unwrap_err(), EngineError::Overloaded);
-        assert_eq!(engine.stats().overloaded, 1);
-    }
-
-    #[test]
     fn oversized_instances_rejected_everywhere() {
         let engine =
             Engine::new(EngineConfig { threads: 1, max_atoms: 4, ..EngineConfig::default() });
         let ens = fig2_matrix(); // 8 atoms
         let expect = EngineError::TooLarge { n_atoms: 8, max_atoms: 4 };
         assert_eq!(engine.solve(&ens).unwrap_err(), expect);
-        assert_eq!(engine.submit(ens).unwrap_err(), expect);
     }
 
     #[test]

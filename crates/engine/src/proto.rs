@@ -233,8 +233,8 @@ pub enum Msg {
         /// The dump.
         text: String,
     },
-    /// Client → server: health probe. Answered from the event thread in
-    /// event-loop mode, so a wedged shard worker cannot block the reply.
+    /// Client → server: health probe. Answered from `c1pd`'s event
+    /// thread, so a wedged shard worker cannot block the reply.
     Ping {
         /// Client-chosen id echoed in the response.
         id: u64,
@@ -245,8 +245,7 @@ pub enum Msg {
         id: u64,
         /// Durability-directory writability (probed at ping time).
         wal: WalHealth,
-        /// Per-shard liveness, indexed by shard (legacy mode reports one
-        /// always-live shard).
+        /// Per-shard liveness, indexed by shard.
         shards: Vec<ShardHealth>,
     },
     /// Client → server: the recovered-hash handshake — ask a session for

@@ -4,10 +4,10 @@
 //! the frame is first seen, plus an append-only list of named
 //! [`SpanEvent`]s recorded as microsecond offsets from that epoch. The
 //! front end creates one per sampled request and threads an
-//! `Option<Arc<ReqTrace>>` through the engine (submit → batcher → cache →
-//! solve → WAL), so every layer records into the same timeline without
-//! knowing who else does. `None` means "not sampled" and every hook
-//! degrades to a no-op — the zero-cost-when-off contract.
+//! `Option<Arc<ReqTrace>>` through its shard mailbox and the engine
+//! (batch → cache → solve → WAL), so every layer records into the same
+//! timeline without knowing who else does. `None` means "not sampled"
+//! and every hook degrades to a no-op — the zero-cost-when-off contract.
 //!
 //! Span *names* are a stable contract shared with the offline tooling
 //! (`phase_probe`) and trace consumers; see

@@ -6,7 +6,7 @@
 //!      [--max-queue N] [--max-atoms N] [--max-conns N] [--max-frame-mb MB]
 //!      [--max-sessions N] [--session-idle-ms MS] [--max-session-mb MB]
 //!      [--wal-dir DIR] [--snapshot-ms MS] [--wal-fault-after N]
-//!      [--event-loop] [--shards N] [--read-timeout-ms MS] [--outbox-kb KB]
+//!      [--shards N] [--read-timeout-ms MS] [--outbox-kb KB]
 //!      [--chaos-seed N] [--chaos-socket-every N] [--chaos-kill-every N]
 //!      [--chaos-drop-every N] [--chaos-delay-every N]
 //!      [--chaos-wal-torn-every N] [--chaos-wal-fail-every N]
@@ -20,22 +20,17 @@
 //! `SealSession`, `Stats` for `GetStats`, and a plain-text metrics dump
 //! for `GetMetrics` (DESIGN.md §11 documents the stable series names).
 //!
-//! Two server modes share that protocol and the flag surface:
-//!
-//! * **default (legacy)** — one blocking thread per connection, one
-//!   engine (`c1p_net::legacy`). Requests from all connections funnel
-//!   into it, so batching, the result cache *and the session table*
-//!   amortize across tenants.
-//! * **`--event-loop`** — one readiness thread multiplexing every socket
-//!   over `poll(2)`, `--shards N` engines each owning a consistent-hash
-//!   slice of canonical keys (`c1p_net::event_loop`). Built for
-//!   thousands of connections; the legacy mode is retained for
-//!   differential testing — both must produce bit-identical verdicts.
+//! The server is `c1p_net::event_loop`: one readiness thread multiplexing
+//! every socket over `poll(2)`, and `--shards N` (default 1) supervised
+//! engines, each owning a consistent-hash slice of canonical keys. It
+//! serves on unix hosts only; elsewhere `c1pd` exits 2. Unknown flags
+//! are ignored, so scripts that still pass the retired `--event-loop`
+//! switch start the same server.
 //!
 //! Admission control answers with exact error frames, never a silent
-//! drop: frame size (`TooLarge`, then close), connection count and queue
-//! depth (`Overloaded`), a mid-frame stall past `--read-timeout-ms`
-//! (`Timeout`, then close; 0 disables), and — event loop only — a reader
+//! drop: frame size (`TooLarge`, then close), connection count and
+//! in-flight depth (`--max-queue`, `Overloaded`), a mid-frame stall past
+//! `--read-timeout-ms` (`Timeout`, then close; 0 disables), and a reader
 //! whose outbox crosses `--outbox-kb` (`Overloaded`, then close). Bind
 //! to port 0 for an ephemeral port; the chosen address is printed on
 //! stdout (`c1pd listening on ...`) and, with `--port-file`, the bare
@@ -45,48 +40,53 @@
 //! write-ahead logs (accepted pushes fsynced before acknowledgement),
 //! boot-time recovery of live sessions, lazy resume of idle-evicted
 //! ones, and — with `--snapshot-ms` — periodic cache snapshots for warm
-//! starts. Under `--event-loop --shards N`, shard `i` logs under
-//! `DIR/shard-i`. `--wal-fault-after N` is the crash harness's test
-//! hook: the N-th append dies mid-write. On SIGTERM/SIGINT the server
-//! shuts down gracefully: it stops accepting, drains each connection's
-//! in-flight frame (answering it), writes a final snapshot, and exits 0
-//! — WALs need no extra flush because every append was already fsynced.
+//! starts. One shard logs in `DIR` itself; with `--shards N` > 1, shard
+//! `i` logs under `DIR/shard-i`. A `DIR` laid out for another shard
+//! count is refused at startup (exit 2, naming the entry that shows
+//! it). `--wal-fault-after N` is the crash harness's test hook: the
+//! N-th append dies mid-write. On SIGTERM/SIGINT the server shuts down
+//! gracefully: it stops accepting, drains each connection's in-flight
+//! frame (answering it), writes a final snapshot, and exits 0 — WALs
+//! need no extra flush because every append was already fsynced.
 //!
-//! **Chaos** (DESIGN.md §12, `--event-loop` only): the `--chaos-*` flags
-//! arm a seeded deterministic fault plan. `--chaos-socket-every N`
-//! injects a socket fault (error / short read / delay / disconnect)
-//! roughly every N-th read and write; `--chaos-kill-every N` panics a
-//! shard worker every N-th job batch (it is respawned with WAL
-//! recovery); `--chaos-drop-every` / `--chaos-delay-every` drop or delay
-//! shard replies; `--chaos-wal-torn-every` / `--chaos-wal-fail-every`
-//! tear or refuse WAL appends. `--request-deadline-ms` answers any
-//! request still unanswered after MS milliseconds with `Unavailable`
-//! (defaulted to 2000 when replies can be dropped, so nothing hangs).
-//! Same seed + same schedule ⇒ the same faults fire at the same points.
+//! **Chaos** (DESIGN.md §12): the `--chaos-*` flags arm a seeded
+//! deterministic fault plan. `--chaos-socket-every N` injects a socket
+//! fault (error / short read / delay / disconnect) roughly every N-th
+//! read and write; `--chaos-kill-every N` panics a shard worker every
+//! N-th job batch (it is respawned with WAL recovery);
+//! `--chaos-drop-every` / `--chaos-delay-every` drop or delay shard
+//! replies; `--chaos-wal-torn-every` / `--chaos-wal-fail-every` tear or
+//! refuse WAL appends. `--request-deadline-ms` answers any request still
+//! unanswered after MS milliseconds with `Unavailable` (defaulted to
+//! 2000 when replies can be dropped, so nothing hangs). Same seed + same
+//! schedule ⇒ the same faults fire at the same points.
 //!
-//! **Tracing** (DESIGN.md §13, both modes): `--trace-sample N` head-
-//! samples one request in N (0, the default, turns tracing off
-//! entirely); while tracing is on, error replies and requests slower
-//! than `--slow-ms` (default 100) are always retained — tail-sampling —
-//! and slow ones also log one stderr line. Retained traces live in
-//! per-shard rings of `--trace-ring` (default 256) entries, are dumped
-//! as JSONL by a `GetTraces` frame, and stamp the latency histogram's
-//! buckets with exemplar trace ids. `--trace-seed` makes both the
-//! content-derived trace ids and the sampling verdicts reproducible.
+//! **Tracing** (DESIGN.md §13): `--trace-sample N` head-samples one
+//! request in N (0, the default, turns tracing off entirely); while
+//! tracing is on, error replies and requests slower than `--slow-ms`
+//! (default 100) are always retained — tail-sampling — and slow ones
+//! also log one stderr line. Retained traces live in per-shard rings of
+//! `--trace-ring` (default 256) entries, are dumped as JSONL by a
+//! `GetTraces` frame, and stamp the latency histogram's buckets with
+//! exemplar trace ids. `--trace-seed` makes both the content-derived
+//! trace ids and the sampling verdicts reproducible.
 
-use c1p_engine::proto::DEFAULT_MAX_FRAME;
-use c1p_engine::EngineConfig;
-use c1p_net::fault::FaultPlan;
-use c1p_net::metrics::Metrics;
-use c1p_net::ServerOpts;
-use std::io::{self, Write};
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+#[cfg(unix)]
+use {
+    c1p_engine::proto::DEFAULT_MAX_FRAME,
+    c1p_engine::EngineConfig,
+    c1p_net::event_loop::{self, EventLoopOpts},
+    c1p_net::fault::FaultPlan,
+    c1p_net::metrics::Metrics,
+    std::io::{self, Write},
+    std::net::TcpListener,
+    std::sync::atomic::{AtomicBool, Ordering},
+    std::sync::Arc,
+    std::time::Duration,
+};
 
-/// Set by the signal handler; polled by the accept/event loop and (at
-/// frame boundaries) by every connection.
+/// Set by the signal handler; polled by the event loop.
+#[cfg(unix)]
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -105,24 +105,31 @@ fn install_signal_handlers() {
     }
 }
 
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
-
+#[cfg(unix)]
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }
 
+#[cfg(unix)]
 fn num_flag(args: &[String], name: &str, default: usize) -> usize {
     flag(args, name).map_or(default, |v| {
         v.parse().unwrap_or_else(|_| panic!("{name} takes a number, got {v:?}"))
     })
 }
 
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("c1pd: the server needs poll(2) and runs on unix hosts only");
+    std::process::exit(2);
+}
+
+#[cfg(unix)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let defaults = EngineConfig::default();
+    let server_defaults = EventLoopOpts::default();
 
-    // chaos plan (event-loop only): one seed staggers every schedule
+    // chaos plan: one seed staggers every schedule
     let socket_every = num_flag(&args, "--chaos-socket-every", 0) as u64;
     let drop_every = num_flag(&args, "--chaos-drop-every", 0) as u64;
     let chaos = FaultPlan::seeded(num_flag(&args, "--chaos-seed", 1) as u64)
@@ -135,14 +142,11 @@ fn main() {
         num_flag(&args, "--chaos-wal-torn-every", 0) as u64,
         num_flag(&args, "--chaos-wal-fail-every", 0) as u64,
     );
-    let chaos_armed = !chaos.is_empty() || wal_faults.torn_every > 0 || wal_faults.fail_every > 0;
 
     let cfg = EngineConfig {
         threads: num_flag(&args, "--threads", 0),
         cache_bytes: num_flag(&args, "--cache-mb", defaults.cache_bytes >> 20) << 20,
-        max_batch: num_flag(&args, "--max-batch", defaults.max_batch),
         small_cutoff: num_flag(&args, "--small-cutoff", defaults.small_cutoff),
-        max_queue: num_flag(&args, "--max-queue", defaults.max_queue),
         max_atoms: num_flag(&args, "--max-atoms", defaults.max_atoms),
         max_sessions: num_flag(&args, "--max-sessions", defaults.max_sessions),
         session_idle_ms: num_flag(&args, "--session-idle-ms", defaults.session_idle_ms as usize)
@@ -155,29 +159,12 @@ fn main() {
         wal_fault_after: num_flag(&args, "--wal-fault-after", 0) as u64,
         wal_faults,
     };
-    let read_timeout_ms = num_flag(&args, "--read-timeout-ms", 250);
-    let opts = ServerOpts {
-        max_conns: num_flag(&args, "--max-conns", 64),
-        max_frame: num_flag(&args, "--max-frame-mb", DEFAULT_MAX_FRAME >> 20) << 20,
-        // 0 disables the mid-frame stall reaper (idle between frames is
-        // never reaped in either mode)
-        read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms as u64)),
-        outbox_limit: num_flag(&args, "--outbox-kb", 8 << 10) << 10,
-        trace: c1p_net::trace::TraceConfig {
-            sample_every: num_flag(&args, "--trace-sample", 0) as u64,
-            slow_us: num_flag(&args, "--slow-ms", 100) as u64 * 1000,
-            seed: num_flag(&args, "--trace-seed", 1) as u64,
-            ring_cap: num_flag(&args, "--trace-ring", 256),
-        },
-    };
     let shards = num_flag(&args, "--shards", 1).max(1);
-    let event_loop = args.iter().any(|a| a == "--event-loop");
-    let addr = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:9119".to_string());
-    let drain = Duration::from_secs(30);
-
-    if chaos_armed && !event_loop {
-        eprintln!("c1pd: --chaos-* flags require --event-loop (supervision lives there)");
-        std::process::exit(2);
+    if let Some(dir) = &cfg.wal_dir {
+        if let Err(e) = event_loop::check_wal_layout(dir, shards) {
+            eprintln!("c1pd: refusing --wal-dir: {e}");
+            std::process::exit(2);
+        }
     }
     // dropped replies would hang their requests without a reaper
     let mut deadline_ms = num_flag(&args, "--request-deadline-ms", 0) as u64;
@@ -185,7 +172,29 @@ fn main() {
         deadline_ms = 2000;
         eprintln!("c1pd: --chaos-drop-every set; defaulting --request-deadline-ms to 2000");
     }
-    let request_deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
+    let read_timeout_ms = num_flag(&args, "--read-timeout-ms", 250);
+    let opts = EventLoopOpts {
+        shards,
+        max_conns: num_flag(&args, "--max-conns", server_defaults.max_conns),
+        max_frame: num_flag(&args, "--max-frame-mb", DEFAULT_MAX_FRAME >> 20) << 20,
+        // 0 disables the mid-frame stall reaper (idle between frames is
+        // never reaped)
+        read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms as u64)),
+        outbox_limit: num_flag(&args, "--outbox-kb", server_defaults.outbox_limit >> 10) << 10,
+        max_queue: num_flag(&args, "--max-queue", server_defaults.max_queue),
+        max_batch: num_flag(&args, "--max-batch", server_defaults.max_batch),
+        trace: c1p_net::trace::TraceConfig {
+            sample_every: num_flag(&args, "--trace-sample", 0) as u64,
+            slow_us: num_flag(&args, "--slow-ms", 100) as u64 * 1000,
+            seed: num_flag(&args, "--trace-seed", 1) as u64,
+            ring_cap: num_flag(&args, "--trace-ring", 256),
+        },
+        engine_cfg: cfg,
+        drain: Duration::from_secs(30),
+        fault: Arc::new(chaos),
+        request_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
+    };
+    let addr = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:9119".to_string());
 
     install_signal_handlers();
     let listener =
@@ -198,52 +207,8 @@ fn main() {
             .unwrap_or_else(|e| panic!("c1pd: cannot write {path}: {e}"));
     }
 
-    if event_loop {
-        run_event_loop(listener, cfg, opts, shards, drain, chaos, request_deadline);
-    } else {
-        if shards > 1 {
-            eprintln!("c1pd: --shards applies to --event-loop mode; the legacy server is 1 shard");
-        }
-        let metrics = Arc::new(Metrics::new(1));
-        c1p_net::legacy::serve(listener, cfg, &opts, drain, &SHUTDOWN, &metrics)
-            .unwrap_or_else(|e| panic!("c1pd: serve failed: {e}"));
-    }
-    eprintln!("c1pd: shutdown complete");
-}
-
-#[cfg(unix)]
-fn run_event_loop(
-    listener: TcpListener,
-    cfg: EngineConfig,
-    opts: ServerOpts,
-    shards: usize,
-    drain: Duration,
-    chaos: FaultPlan,
-    request_deadline: Option<Duration>,
-) {
-    let el = c1p_net::event_loop::EventLoopOpts {
-        shards,
-        server: opts,
-        engine_cfg: cfg,
-        drain,
-        fault: Arc::new(chaos),
-        request_deadline,
-    };
     let metrics = Arc::new(Metrics::new(shards));
-    c1p_net::event_loop::serve(listener, &el, &SHUTDOWN, &metrics)
+    event_loop::serve(listener, &opts, &SHUTDOWN, &metrics)
         .unwrap_or_else(|e| panic!("c1pd: event loop failed: {e}"));
-}
-
-#[cfg(not(unix))]
-fn run_event_loop(
-    _listener: TcpListener,
-    _cfg: EngineConfig,
-    _opts: ServerOpts,
-    _shards: usize,
-    _drain: Duration,
-    _chaos: FaultPlan,
-    _request_deadline: Option<Duration>,
-) {
-    eprintln!("c1pd: --event-loop needs poll(2); use the default thread-per-connection mode");
-    std::process::exit(2);
+    eprintln!("c1pd: shutdown complete");
 }

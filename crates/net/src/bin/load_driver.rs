@@ -80,7 +80,7 @@
 //! in-process solve of its accepted concatenation.
 //!
 //! **Chaos mode** is the fault-injection harness (DESIGN.md §12): the
-//! driver spawns `c1pd --event-loop` with a seeded fault plan — worker
+//! driver spawns `c1pd` with a seeded fault plan — worker
 //! kills, dropped/delayed shard replies, socket faults, torn WAL
 //! appends — and drives mixed solve + session traffic at it through the
 //! self-healing `c1p_net::client`. The assertions are absolute: every
@@ -1313,7 +1313,6 @@ fn chaos_main(args: &[String]) {
         .arg("127.0.0.1:0")
         .arg("--port-file")
         .arg(&port_file)
-        .arg("--event-loop")
         .arg("--shards")
         .arg(shards.to_string())
         .arg("--wal-dir")

@@ -18,7 +18,9 @@
 //! pin to the shard that opened them; the public handle encodes the
 //! shard (`public = local·shards + shard`, locals start at 1, so public
 //! handles are collision-free and `handle % shards` recovers the owner).
-//! With `--wal-dir`, shard `i` logs under `<dir>/shard-i`.
+//! With `--wal-dir`, a lone shard logs in the directory itself and N > 1
+//! shards log under `<dir>/shard-i`; [`check_wal_layout`] refuses a
+//! directory laid out for another shard count.
 //!
 //! **Ordering.** The protocol promises one response per request, in
 //! request order, per connection. Shards complete out of order, so every
@@ -31,11 +33,12 @@
 //! one best-effort `Overloaded` ("slow reader") frame. A peer that
 //! stalls mid-frame past `--read-timeout-ms` gets an exact `Timeout`
 //! error frame, then the connection closes; idle connections *between*
-//! frames cost one pollfd and nothing else. Admission mirrors the legacy
-//! mode: over `max_conns` connections are refused with `Overloaded`,
-//! frames over the byte cap answer `TooLarge` and close, and solves
-//! beyond the engine queue depth answer `Overloaded` without ever
-//! reaching a shard.
+//! frames cost one pollfd and nothing else. Admission: over `max_conns`
+//! connections are refused with `Overloaded`, frames over the byte cap
+//! answer `TooLarge` and close, and solves beyond
+//! [`EventLoopOpts::max_queue`] requests in flight answer `Overloaded`
+//! without ever reaching a shard (counted with the engines' own
+//! refusals in `GetStats` and `c1pd_overloaded_total`).
 //!
 //! **Supervision** (DESIGN.md §12). A shard worker that panics — an
 //! injected chaos kill, an injected WAL fault, or a real bug — does not
@@ -43,7 +46,7 @@
 //! last act is posting `WorkerDown`; the event loop then (1) answers
 //! every request in flight on that shard with an exact `Unavailable`
 //! error — a request is *never* silently dropped — and (2) respawns the
-//! worker, which rebuilds its engine from `<wal_dir>/shard-i` off the
+//! worker, which rebuilds its engine from its WAL directory off the
 //! event thread: the same boot-time recovery a process restart runs,
 //! exercised within one process lifetime. Sessions whose last accepted
 //! push was fsynced recover exactly; the in-memory state the panic tore
@@ -70,20 +73,19 @@ use crate::conn::{FrameReader, Outbox, PullError};
 use crate::fault::{FaultPlan, FaultyIo, ReplyFault};
 use crate::metrics::Metrics;
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
-use crate::trace::{Finishing, TraceBuilder, Tracer};
-use crate::{
-    engine_error, open_reply, pick_shard, route_hash, session_reply, session_reply_traced,
-    ServerOpts,
-};
+use crate::trace::{Finishing, TraceBuilder, TraceConfig, Tracer};
+use crate::{engine_error, open_reply, pick_shard, route_hash, session_reply};
 use c1p_engine::proto::{decode_msg, encode_msg, ErrorCode, Msg, ShardHealth};
 use c1p_engine::trace::ReqTrace;
-use c1p_engine::{Engine, EngineConfig, EngineError};
+use c1p_engine::{Engine, EngineConfig, EngineError, EngineStats};
+use c1p_matrix::Ensemble;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -93,15 +95,38 @@ use std::time::{Duration, Instant};
 /// Consecutive zero-job worker deaths before a shard is given up on.
 const MAX_ZERO_JOB_DEATHS: u32 = 3;
 
-/// Event-loop server configuration.
+/// Server configuration (the `c1pd` flag surface).
 #[derive(Debug, Clone)]
 pub struct EventLoopOpts {
     /// Shard (engine) count; each shard is one worker thread + engine.
     pub shards: usize,
-    /// The shared flag surface (connection cap, frame cap, timeouts).
-    pub server: ServerOpts,
-    /// Per-shard engine configuration. `wal_dir` is treated as the base
-    /// directory: shard `i` logs under `<wal_dir>/shard-i`.
+    /// Connection cap; excess connections get one `Overloaded` frame.
+    pub max_conns: usize,
+    /// Frame byte cap; over-cap frames get one `TooLarge` frame, then
+    /// the connection closes.
+    pub max_frame: usize,
+    /// Mid-frame stall budget (`--read-timeout-ms`): a connection whose
+    /// partial frame makes no progress for this long gets one `Timeout`
+    /// error frame and is closed. `None` disables the reaper. Idle
+    /// connections *between* frames are never timed out.
+    pub read_timeout: Option<Duration>,
+    /// Per-connection outbox byte cap (`--outbox-kb`): a reader that
+    /// falls this far behind gets one `Overloaded` ("slow reader")
+    /// frame and is disconnected.
+    pub outbox_limit: usize,
+    /// Admission control (`--max-queue`): a solve arriving while this
+    /// many requests are in flight across all shards is answered
+    /// `Overloaded` without reaching a shard.
+    pub max_queue: usize,
+    /// Most jobs a shard worker drains from its mailbox into one engine
+    /// batch (`--max-batch`).
+    pub max_batch: usize,
+    /// Request tracing policy (`--trace-sample`/`--slow-ms`/
+    /// `--trace-seed`/`--trace-ring`); `sample_every == 0` disables.
+    pub trace: TraceConfig,
+    /// Per-shard engine configuration. `wal_dir` is the base directory:
+    /// one shard logs in it directly, N > 1 shards under
+    /// `<wal_dir>/shard-i`.
     pub engine_cfg: EngineConfig,
     /// Graceful-shutdown budget: drain connections, then flush.
     pub drain: Duration,
@@ -121,7 +146,13 @@ impl Default for EventLoopOpts {
     fn default() -> EventLoopOpts {
         EventLoopOpts {
             shards: 1,
-            server: ServerOpts::default(),
+            max_conns: 64,
+            max_frame: c1p_engine::proto::DEFAULT_MAX_FRAME,
+            read_timeout: Some(Duration::from_millis(250)),
+            outbox_limit: 8 << 20,
+            max_queue: 4096,
+            max_batch: 64,
+            trace: TraceConfig::default(),
             engine_cfg: EngineConfig::default(),
             drain: Duration::from_secs(30),
             fault: Arc::new(FaultPlan::none()),
@@ -136,7 +167,7 @@ type JobTrace = Option<(Arc<ReqTrace>, u64)>;
 
 /// One unit of work for a shard worker.
 enum Job {
-    Solve { conn: u64, seq: u64, id: u64, ens: c1p_matrix::Ensemble, trace: JobTrace },
+    Solve { conn: u64, seq: u64, id: u64, ens: Ensemble, trace: JobTrace },
     Open { conn: u64, seq: u64, id: u64, n_atoms: u64, trace: JobTrace },
     Session { conn: u64, seq: u64, msg: Msg, local: u64, public: u64, trace: JobTrace },
 }
@@ -282,8 +313,10 @@ impl Conn {
 /// the per-shard engines (stats drained, durability flushed) so callers
 /// — tests, benches — can inspect them.
 ///
-/// The listener must already be nonblocking. `metrics` is shared so the
-/// caller can watch the registry live; pass a fresh one otherwise.
+/// `metrics` is shared so the caller can watch the registry live; pass a
+/// fresh one otherwise. A WAL directory is used as found: run
+/// [`check_wal_layout`] first to refuse one laid out for another shard
+/// count.
 pub fn serve(
     listener: TcpListener,
     opts: &EventLoopOpts,
@@ -292,17 +325,22 @@ pub fn serve(
 ) -> io::Result<Vec<Arc<Engine>>> {
     assert!(opts.shards >= 1, "at least one shard");
     assert_eq!(metrics.shards.len(), opts.shards, "metrics registry sized for the shard count");
-    metrics.set_mode("event-loop");
-    let tracer = Tracer::new(opts.server.trace, opts.shards);
+    let tracer = Tracer::new(opts.trace, opts.shards);
     listener.set_nonblocking(true)?;
-    let engines: Vec<Arc<Engine>> =
-        (0..opts.shards).map(|i| Arc::new(Engine::new(shard_cfg(&opts.engine_cfg, i)))).collect();
+    let cfgs: Vec<EngineConfig> =
+        (0..opts.shards).map(|i| shard_cfg(&opts.engine_cfg, i, opts.shards)).collect();
+    // every shard directory exists before any shard recovers, so a crash
+    // mid-boot cannot leave a partial layout that the next boot refuses
+    for dir in cfgs.iter().filter_map(|c| c.wal_dir.as_ref()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    let engines: Vec<Arc<Engine>> = cfgs.into_iter().map(|c| Arc::new(Engine::new(c))).collect();
     let events: Mutex<Vec<Event>> = Mutex::new(Vec::new());
     let (wake_tx, wake_rx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
 
-    let max_batch = opts.engine_cfg.max_batch.max(1);
+    let max_batch = opts.max_batch.max(1);
     // clone the wake pipe up front so every worker is guaranteed to spawn
     // (a failure mid-spawn would leave senders alive and the scope stuck)
     let wakes: Vec<UnixStream> =
@@ -316,7 +354,7 @@ pub fn serve(
                 shard,
                 rx,
                 Some(Arc::clone(&engines[shard])),
-                shard_cfg(&opts.engine_cfg, shard),
+                shard_cfg(&opts.engine_cfg, shard, opts.shards),
                 WorkerEnv {
                     events: &events,
                     wake,
@@ -341,11 +379,58 @@ pub fn serve(
     Ok(engines)
 }
 
-/// The shard-`i` engine configuration: same knobs, shard-scoped WAL dir.
-fn shard_cfg(base: &EngineConfig, shard: usize) -> EngineConfig {
+/// The shard-`i` engine configuration: same knobs; a lone shard logs in
+/// `wal_dir` itself, N > 1 shards each under `<wal_dir>/shard-i`.
+fn shard_cfg(base: &EngineConfig, shard: usize, shards: usize) -> EngineConfig {
     let mut cfg = base.clone();
-    cfg.wal_dir = base.wal_dir.as_ref().map(|d| d.join(format!("shard-{shard}")));
+    if shards > 1 {
+        cfg.wal_dir = base.wal_dir.as_ref().map(|d| d.join(format!("shard-{shard}")));
+    }
     cfg
+}
+
+/// Refuses a WAL directory laid out for another shard count. Every shard
+/// engine creates its directory at boot, so the layout records the count
+/// it was written with: session logs at the top level for one shard,
+/// exactly `shard-0` … `shard-(N-1)` for N > 1. Booting on another count
+/// would leave the sessions logged there unreachable (public session
+/// handles encode the shard count), so the error names the entry that
+/// shows the mismatch. A missing or fresh directory passes.
+pub fn check_wal_layout(dir: &Path, shards: usize) -> io::Result<()> {
+    let entries = match std::fs::read_dir(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        r => r?,
+    };
+    let refuse = |path: PathBuf, why: String| {
+        let msg = format!("{} {why}, but --shards is {shards}", path.display());
+        Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
+    };
+    let mut shard_dirs = Vec::new();
+    for entry in entries {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if name.starts_with("shard-") {
+            if shards == 1 {
+                return refuse(dir.join(name), "belongs to a sharded layout".into());
+            }
+            shard_dirs.push(name);
+        } else if shards > 1 && name.starts_with("session-") && name.ends_with(".wal") {
+            return refuse(dir.join(name), "is a 1-shard session log".into());
+        }
+    }
+    if shard_dirs.is_empty() {
+        return Ok(());
+    }
+    let expected: Vec<String> = (0..shards).map(|i| format!("shard-{i}")).collect();
+    if let Some(extra) = shard_dirs.iter().find(|d| !expected.contains(d)) {
+        return refuse(dir.join(extra), "is outside the shard range".into());
+    }
+    match expected.into_iter().find(|d| !shard_dirs.contains(d)) {
+        Some(missing) => refuse(
+            dir.join(missing),
+            format!("is missing from a {}-shard layout", shard_dirs.len()),
+        ),
+        None => Ok(()),
+    }
 }
 
 /// Everything a worker thread owns besides its job channel and engine.
@@ -437,11 +522,13 @@ fn worker_loop(
                 })
             })
             .collect();
-        let mut solves: Vec<c1p_matrix::Ensemble> = Vec::new();
+        // each solve moves its ensemble into the engine batch, leaving
+        // an empty one behind in the job, which only its reply needs now
+        let mut solves: Vec<Ensemble> = Vec::new();
         let mut solve_traces: Vec<Option<Arc<ReqTrace>>> = Vec::new();
-        for (j, mb) in batch.iter().zip(&mailbox_at) {
+        for (j, mb) in batch.iter_mut().zip(&mailbox_at) {
             if let Job::Solve { ens, trace, .. } = j {
-                solves.push(ens.clone());
+                solves.push(std::mem::replace(ens, Ensemble::new(0)));
                 solve_traces.push(trace.as_ref().map(|(t, _)| {
                     t.record("mailbox", mb.expect("traced job has a mailbox mark"));
                     Arc::clone(t)
@@ -477,12 +564,11 @@ fn worker_loop(
                     Completion { conn, seq, reply }
                 }
                 Job::Session { conn, seq, msg, local, public, trace } => {
-                    let reply = if let Some((t, _)) = &trace {
+                    let t = trace.as_ref().map(|(t, _)| {
                         t.record("mailbox", mb.expect("traced job has a mailbox mark"));
-                        session_reply_traced(engine, &msg, local, public, Some(t))
-                    } else {
-                        session_reply(engine, &msg, local, public)
-                    };
+                        &**t
+                    });
+                    let reply = session_reply(engine, &msg, local, public, t);
                     Completion { conn, seq, reply }
                 }
             };
@@ -534,7 +620,7 @@ fn unavailable(id: u64, shard: usize, why: &str) -> Msg {
 }
 
 /// Best-effort `Overloaded` frame to a refused connection (the accepted
-/// socket is still blocking — the write is tiny and mirrors legacy).
+/// socket is still blocking — the write is tiny).
 fn refuse(stream: TcpStream) {
     let mut w = io::BufWriter::new(stream);
     let msg = Msg::Error {
@@ -662,7 +748,7 @@ fn dispatch(
     opts: &EventLoopOpts,
     metrics: &Metrics,
     engines: &[Arc<Engine>],
-    retired: &[c1p_engine::EngineStats],
+    retired: &[EngineStats],
     ctls: &[ShardCtl],
     pending: &mut HashMap<(u64, u64), Pending>,
     rr_open: &mut usize,
@@ -673,7 +759,7 @@ fn dispatch(
     let seq = conn.next_seq;
     conn.next_seq += 1;
     let shards = opts.shards as u64;
-    let outbox_limit = opts.server.outbox_limit;
+    let outbox_limit = opts.outbox_limit;
     // trace epoch = frame arrival; the decode span covers id derivation
     // (a payload hash) plus the decode itself, starting at offset ~0
     let mut tb = tracer.begin(payload);
@@ -686,10 +772,9 @@ fn dispatch(
     });
     match decoded {
         Ok(Msg::Solve { id, ens }) => {
-            // mirror `Engine::submit` admission, in its order: the atom
-            // cap first (TooLarge wins even with a full queue), then —
-            // beyond max_queue in-flight jobs — Overloaded, without
-            // either touching a shard
+            // the atom cap first (TooLarge wins even with a full queue),
+            // then — beyond max_queue in-flight jobs — Overloaded,
+            // without either touching a shard
             if let Some(b) = tb.as_mut() {
                 b.id = id;
                 b.kind = "solve";
@@ -703,7 +788,8 @@ fn dispatch(
                     b.req.record("admission", adm);
                 }
                 deliver(conn, seq, engine_error(id, e), t0, tb, metrics, outbox_limit);
-            } else if metrics.queue_depth.get() >= opts.engine_cfg.max_queue as i64 {
+            } else if metrics.queue_depth.get() >= opts.max_queue as i64 {
+                metrics.queue_refusals_total.inc();
                 if let Some(b) = tb.as_ref() {
                     b.req.record("admission", adm);
                 }
@@ -847,37 +933,12 @@ fn dispatch(
             deliver(conn, seq, Msg::Pong { id, wal, shards }, t0, tb, metrics, outbox_limit);
         }
         Ok(Msg::GetStats) => {
-            // safe even while a shard is down: `stats()` takes only the
-            // cache and session-map locks, and the two injected panic
-            // sites (worker kill, WAL append) hold neither
-            let mut sum = c1p_engine::EngineStats::default();
-            for (e, r) in engines.iter().zip(retired) {
-                sum.absorb(&e.stats());
-                sum.absorb(r);
-            }
-            deliver(conn, seq, Msg::Stats { json: sum.to_json() }, t0, tb, metrics, outbox_limit);
+            let json = metrics.engine_totals(&shard_stats(engines, retired)).to_json();
+            deliver(conn, seq, Msg::Stats { json }, t0, tb, metrics, outbox_limit);
         }
         Ok(Msg::GetMetrics) => {
-            // each shard's series = its live engine + every engine
-            // supervision retired on that shard
-            let stats: Vec<c1p_engine::EngineStats> = engines
-                .iter()
-                .zip(retired)
-                .map(|(e, r)| {
-                    let mut s = e.stats();
-                    s.absorb(r);
-                    s
-                })
-                .collect();
-            deliver(
-                conn,
-                seq,
-                Msg::Metrics { text: metrics.render(&stats) },
-                t0,
-                tb,
-                metrics,
-                outbox_limit,
-            );
+            let text = metrics.render(&shard_stats(engines, retired));
+            deliver(conn, seq, Msg::Metrics { text }, t0, tb, metrics, outbox_limit);
         }
         Ok(Msg::GetTraces) => {
             // answered from the event thread, like GetMetrics: the dump
@@ -910,6 +971,22 @@ fn dispatch(
             );
         }
     }
+}
+
+/// Each shard's engine counters: its live engine plus every engine
+/// supervision retired on that shard. Safe even while a shard is down:
+/// `stats()` takes only the cache and session-map locks, and the two
+/// injected panic sites (worker kill, WAL append) hold neither.
+fn shard_stats(engines: &[Arc<Engine>], retired: &[EngineStats]) -> Vec<EngineStats> {
+    engines
+        .iter()
+        .zip(retired)
+        .map(|(e, r)| {
+            let mut s = e.stats();
+            s.absorb(r);
+            s
+        })
+        .collect()
 }
 
 /// Settles one in-flight entry with an `Unavailable` error: balances the
@@ -953,13 +1030,13 @@ fn event_loop<'scope>(
     let mut pending: HashMap<(u64, u64), Pending> = HashMap::new();
     // counters of engines retired by supervision, folded into stats and
     // metrics renders — restarts must not zero a shard's history
-    let mut retired: Vec<c1p_engine::EngineStats> = vec![Default::default(); opts.shards];
+    let mut retired: Vec<EngineStats> = vec![Default::default(); opts.shards];
     let mut ids: Vec<u64> = Vec::new();
     let mut next_conn = 0u64;
     let mut rr_open = 0usize;
     let mut drain_deadline: Option<Instant> = None;
     let chaos = !opts.fault.is_empty();
-    let max_batch = opts.engine_cfg.max_batch.max(1);
+    let max_batch = opts.max_batch.max(1);
     loop {
         if drain_deadline.is_none() && stop.load(Ordering::Acquire) {
             drain_deadline = Some(Instant::now() + opts.drain);
@@ -1023,15 +1100,7 @@ fn event_loop<'scope>(
                     metrics.shards[p.shard].queue_depth.dec();
                     if let Some(conn) = conns.get_mut(&c.conn) {
                         conn.inflight -= 1;
-                        deliver(
-                            conn,
-                            c.seq,
-                            c.reply,
-                            p.t0,
-                            p.trace,
-                            metrics,
-                            opts.server.outbox_limit,
-                        );
+                        deliver(conn, c.seq, c.reply, p.t0, p.trace, metrics, opts.outbox_limit);
                     }
                 }
                 Event::WorkerUp { shard, engine } => {
@@ -1066,7 +1135,7 @@ fn event_loop<'scope>(
                             "restarted mid-request",
                             &mut conns,
                             metrics,
-                            opts.server.outbox_limit,
+                            opts.outbox_limit,
                         );
                     }
                     ctls[shard].zero_job_deaths =
@@ -1093,8 +1162,8 @@ fn event_loop<'scope>(
                         scope,
                         shard,
                         rx,
-                        None, // rebuild from <wal_dir>/shard-i on the worker thread
-                        shard_cfg(&opts.engine_cfg, shard),
+                        None, // rebuild from the shard's WAL on the worker thread
+                        shard_cfg(&opts.engine_cfg, shard, opts.shards),
                         WorkerEnv {
                             events,
                             wake: wake_tx.try_clone()?,
@@ -1123,7 +1192,7 @@ fn event_loop<'scope>(
                     "did not answer within the request deadline",
                     &mut conns,
                     metrics,
-                    opts.server.outbox_limit,
+                    opts.outbox_limit,
                 );
             }
         }
@@ -1133,7 +1202,7 @@ fn event_loop<'scope>(
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        if conns.len() >= opts.server.max_conns {
+                        if conns.len() >= opts.max_conns {
                             metrics.connections_refused_total.inc();
                             refuse(stream);
                             continue;
@@ -1144,7 +1213,7 @@ fn event_loop<'scope>(
                         }
                         metrics.connections_accepted_total.inc();
                         metrics.connections_open.inc();
-                        conns.insert(next_conn, Conn::new(stream, opts.server.max_frame));
+                        conns.insert(next_conn, Conn::new(stream, opts.max_frame));
                         next_conn += 1;
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1198,9 +1267,9 @@ fn event_loop<'scope>(
                     }
                 }
                 Err(PullError::Oversize(o)) => {
-                    // admission control, not line noise: answer with the
-                    // exact TooLarge frame legacy sends, then close (the
-                    // stream position is unrecoverable)
+                    // admission control, not line noise: answer with an
+                    // exact TooLarge frame, then close (the stream
+                    // position is unrecoverable)
                     metrics.oversize_frames_total.inc();
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
@@ -1222,7 +1291,7 @@ fn event_loop<'scope>(
                         // a trace id from; they go untraced
                         None,
                         metrics,
-                        opts.server.outbox_limit,
+                        opts.outbox_limit,
                     );
                 }
                 Err(PullError::Io(e)) => {
@@ -1237,7 +1306,7 @@ fn event_loop<'scope>(
 
         // slow-loris reaper: a partial frame making no progress past the
         // budget gets an exact Timeout frame, then the connection closes
-        if let Some(budget) = opts.server.read_timeout {
+        if let Some(budget) = opts.read_timeout {
             for conn in conns.values_mut() {
                 if conn.read_closed || conn.kill.is_some() {
                     continue;
@@ -1259,7 +1328,7 @@ fn event_loop<'scope>(
 
         // drain sweep: at a frame boundary with nothing in flight, a
         // draining server closes the connection (mid-frame connections
-        // get to finish the frame they started, mirroring legacy)
+        // get to finish the frame they started)
         if draining {
             for conn in conns.values_mut() {
                 if !conn.reader.mid_frame() && conn.inflight == 0 && conn.parked.is_empty() {
@@ -1376,5 +1445,35 @@ mod tests {
             }
         }
         write_farewell(&mut Broken, &[1, 2, 3]); // must simply return
+    }
+
+    #[test]
+    fn wal_layout_records_the_shard_count() {
+        let dir = std::env::temp_dir().join(format!("c1pd-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let refused = |shards: usize| {
+            let e = check_wal_layout(&dir, shards).expect_err("layout mismatch");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            e.to_string()
+        };
+        // missing and fresh directories pass at any count
+        check_wal_layout(&dir, 1).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        check_wal_layout(&dir, 3).unwrap();
+        // a 1-shard layout: logs at the top level
+        std::fs::write(dir.join("session-4.wal"), b"").unwrap();
+        check_wal_layout(&dir, 1).unwrap();
+        assert!(refused(2).contains("session-4.wal"));
+        std::fs::remove_file(dir.join("session-4.wal")).unwrap();
+        // a 2-shard layout: exactly shard-0 and shard-1
+        for i in 0..2 {
+            std::fs::create_dir(dir.join(format!("shard-{i}"))).unwrap();
+        }
+        check_wal_layout(&dir, 2).unwrap();
+        assert!(refused(1).contains("shard-"));
+        assert!(refused(3).contains("shard-2"), "a missing shard is named");
+        std::fs::create_dir(dir.join("shard-2")).unwrap();
+        assert!(refused(2).contains("shard-2"), "an extra shard is named");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

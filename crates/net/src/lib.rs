@@ -1,6 +1,5 @@
 //! `c1p-net` — the serving layer: an event-driven sharded TCP front-end
-//! for the C1P engine, its legacy thread-per-connection twin, and the
-//! metrics registry both export.
+//! for the C1P engine and the metrics registry it exports.
 //!
 //! The crate exists because at the scale ROADMAP names, the accept/read
 //! path — not the solver — is the ceiling: a blocked thread per idle
@@ -15,12 +14,11 @@
 //! * [`event_loop`] — one readiness thread multiplexing every socket,
 //!   dispatching complete frames to N shard workers, each owning an
 //!   [`Engine`] whose LRU covers a consistent-hash slice of canonical
-//!   keys ([`route_hash`] + [`pick_shard`]).
-//! * [`legacy`] — the PR 4 thread-per-connection server as a library,
-//!   kept behind `c1pd`'s default mode for differential testing: both
-//!   modes must produce bit-identical verdicts on the same seeds.
+//!   keys ([`route_hash`] + [`pick_shard`]). It is `c1pd`'s only server;
+//!   it needs `poll(2)`, so it and `c1pd` serve on unix hosts only, while
+//!   the rest of the crate stays portable.
 //! * [`metrics`] — the stable-name counter/histogram registry exported
-//!   over `GetStats`/`GetMetrics` frames by both modes.
+//!   over `GetStats`/`GetMetrics` frames.
 //! * [`fault`] — seeded deterministic fault injection (chaos testing):
 //!   socket, mailbox and WAL-append fault schedules, zero-cost when
 //!   empty, driving the shard supervision in [`event_loop`].
@@ -28,7 +26,7 @@
 //!   with decorrelated jitter, and the recovered-hash handshake that
 //!   makes session pushes idempotent across retries.
 //!
-//! Both servers speak the `c1p_engine::proto` frame protocol unchanged:
+//! The server speaks the `c1p_engine::proto` frame protocol unchanged:
 //! one response per request, in order, per connection — the event loop
 //! re-establishes that order with per-connection sequence numbers when
 //! shards complete out of order.
@@ -38,49 +36,14 @@ pub mod conn;
 #[cfg(unix)]
 pub mod event_loop;
 pub mod fault;
-pub mod legacy;
 pub mod metrics;
 pub mod poll;
 pub mod trace;
 
 use c1p_engine::proto::{ErrorCode, Msg};
+use c1p_engine::trace::ReqTrace;
 use c1p_engine::{Engine, EngineError};
 use c1p_matrix::Ensemble;
-use std::time::Duration;
-
-/// Options shared by both server modes (the `c1pd` flag surface).
-#[derive(Debug, Clone)]
-pub struct ServerOpts {
-    /// Connection cap; excess connections get one `Overloaded` frame.
-    pub max_conns: usize,
-    /// Frame byte cap; over-cap frames get one `TooLarge` frame, then
-    /// the connection closes.
-    pub max_frame: usize,
-    /// Mid-frame stall budget (`--read-timeout-ms`): a connection whose
-    /// partial frame makes no progress for this long gets one `Timeout`
-    /// error frame and is closed. `None` disables the reaper. Idle
-    /// connections *between* frames are never timed out.
-    pub read_timeout: Option<Duration>,
-    /// Per-connection outbox byte cap (`--outbox-kb`): a reader that
-    /// falls this far behind gets one `Overloaded` ("slow reader")
-    /// frame and is disconnected.
-    pub outbox_limit: usize,
-    /// Request tracing policy (`--trace-sample`/`--slow-ms`/
-    /// `--trace-seed`/`--trace-ring`); `sample_every == 0` disables.
-    pub trace: trace::TraceConfig,
-}
-
-impl Default for ServerOpts {
-    fn default() -> ServerOpts {
-        ServerOpts {
-            max_conns: 64,
-            max_frame: c1p_engine::proto::DEFAULT_MAX_FRAME,
-            read_timeout: Some(Duration::from_millis(250)),
-            outbox_limit: 8 << 20,
-            trace: trace::TraceConfig::default(),
-        }
-    }
-}
 
 /// Shard-routing hash of an instance: invariant under column permutation,
 /// exactly the quotient the engine's cache key takes (canonicalization
@@ -130,9 +93,8 @@ pub fn pick_shard(hash: u64, shards: usize) -> usize {
     best
 }
 
-/// Maps an [`EngineError`] onto the wire error frame, identically in
-/// both server modes (the differential tests compare these byte for
-/// byte).
+/// Maps an [`EngineError`] onto the wire error frame (the serving tests
+/// compare these byte for byte with in-process replies).
 pub fn engine_error(id: u64, e: EngineError) -> Msg {
     let code = match e {
         EngineError::Overloaded => ErrorCode::Overloaded,
@@ -146,25 +108,19 @@ pub fn engine_error(id: u64, e: EngineError) -> Msg {
     Msg::Error { id, code, message: e.to_string() }
 }
 
-/// Serves one `PushAtoms`/`SealSession` request against `engine`, with
-/// the session handle already translated to the engine-local id `local`.
-/// The reply carries `public` as its handle. Used verbatim by the legacy
-/// handler (`public == local`) and the shard workers (public ids
-/// interleave shard-local ones — see [`event_loop`]); `OpenSession`
-/// stays with the callers, whose id mapping differs.
-pub fn session_reply(engine: &Engine, msg: &Msg, local: u64, public: u64) -> Msg {
-    session_reply_traced(engine, msg, local, public, None)
-}
-
-/// [`session_reply`] with a span recorder: `PushAtoms` solve/WAL work is
-/// recorded into `trace` when sampled (seal and query reuse the untraced
-/// engine paths — their lifecycle spans come from the front end).
-pub fn session_reply_traced(
+/// Serves one `PushAtoms`/`SealSession`/`QuerySession` request against
+/// `engine`, with the session handle already translated to the
+/// engine-local id `local`; the reply carries `public` as its handle
+/// (public ids interleave shard-local ones — see [`event_loop`]).
+/// `PushAtoms` solve/WAL work is recorded into `trace` when sampled
+/// (seal and query reuse the untraced engine paths — their lifecycle
+/// spans come from the front end).
+pub fn session_reply(
     engine: &Engine,
     msg: &Msg,
     local: u64,
     public: u64,
-    trace: Option<&c1p_engine::trace::ReqTrace>,
+    trace: Option<&ReqTrace>,
 ) -> Msg {
     match *msg {
         Msg::PushAtoms { id, ref delta, .. } => {

@@ -24,12 +24,11 @@
 //! The front-end's own series (connections, frames, bytes, queue depth,
 //! per-frame latency, per-shard job counts) are plain relaxed atomics —
 //! one `fetch_add` per event, no locks, shared freely across the event
-//! loop, shard workers and the legacy per-connection threads.
+//! loop and its shard workers.
 
 use c1p_engine::EngineStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A monotone event counter.
@@ -184,11 +183,10 @@ pub struct ShardMetrics {
 }
 
 /// The front-end's own registry. One instance per server; shared by the
-/// event loop, every shard worker, and (in legacy mode) every connection
-/// thread.
+/// event loop and every shard worker.
 #[derive(Debug)]
 pub struct Metrics {
-    /// Connections accepted (both modes).
+    /// Connections accepted.
     pub connections_accepted_total: Counter,
     /// Connections refused at the `--max-conns` limit.
     pub connections_refused_total: Counter,
@@ -215,6 +213,10 @@ pub struct Metrics {
     pub oversize_frames_total: Counter,
     /// Requests currently in flight across all shards (dispatch → reply).
     pub queue_depth: Gauge,
+    /// Solves refused at the front end's `max_queue` cap, before any
+    /// engine saw them. Not a series of its own:
+    /// [`Metrics::engine_totals`] adds it to the engines' `overloaded`.
+    pub queue_refusals_total: Counter,
     /// Bytes currently parked in connection outboxes.
     pub outbox_bytes: Gauge,
     /// Frame service latency: complete request parsed → response queued.
@@ -242,9 +244,6 @@ pub struct Metrics {
     pub traces_dropped_total: Counter,
     /// Per-shard series, indexed by shard id.
     pub shards: Vec<ShardMetrics>,
-    /// Serving mode label for `c1pd_build_info` (`legacy` /
-    /// `event-loop`), set once at server start.
-    mode: OnceLock<&'static str>,
     /// Registry construction time — the `c1pd_uptime_seconds` epoch.
     start: Instant,
 }
@@ -334,8 +333,7 @@ fn help_of(name: &str) -> String {
 }
 
 impl Metrics {
-    /// A registry for a server with `shards` shard workers (legacy mode
-    /// passes 1: its single engine is shard 0).
+    /// A registry for a server with `shards` shard workers.
     pub fn new(shards: usize) -> Metrics {
         Metrics {
             connections_accepted_total: Counter::default(),
@@ -351,6 +349,7 @@ impl Metrics {
             malformed_frames_total: Counter::default(),
             oversize_frames_total: Counter::default(),
             queue_depth: Gauge::default(),
+            queue_refusals_total: Counter::default(),
             outbox_bytes: Gauge::default(),
             frame_latency_us: Histogram::default(),
             faults_injected_total: Counter::default(),
@@ -361,15 +360,21 @@ impl Metrics {
             traces_retained_total: Counter::default(),
             traces_dropped_total: Counter::default(),
             shards: (0..shards.max(1)).map(|_| ShardMetrics::default()).collect(),
-            mode: OnceLock::new(),
             start: Instant::now(),
         }
     }
 
-    /// Sets the serving-mode label of `c1pd_build_info` (first caller
-    /// wins; unset renders as `unknown`).
-    pub fn set_mode(&self, mode: &'static str) {
-        let _ = self.mode.set(mode);
+    /// The server-wide engine counters behind both `GetStats` and the
+    /// `c1pd_*` engine series: the per-shard snapshots summed, plus the
+    /// front end's queue-cap refusals in `overloaded`, so each refusal
+    /// counts exactly once.
+    pub fn engine_totals(&self, per_shard: &[EngineStats]) -> EngineStats {
+        let mut sum = EngineStats::default();
+        for s in per_shard {
+            sum.absorb(s);
+        }
+        sum.overloaded += self.queue_refusals_total.get();
+        sum
     }
 
     /// Renders the full plain-text dump: `# HELP`/`# TYPE` comments plus
@@ -377,10 +382,7 @@ impl Metrics {
     /// the per-shard stats snapshots (`per_shard[i]` = shard `i`'s
     /// engine).
     pub fn render(&self, per_shard: &[EngineStats]) -> String {
-        let mut sum = EngineStats::default();
-        for s in per_shard {
-            sum.absorb(s);
-        }
+        let sum = self.engine_totals(per_shard);
         let mut out = String::with_capacity(8192);
         let head = |out: &mut String, name: &str| {
             let _ = writeln!(out, "# HELP {name} {}", help_of(name));
@@ -451,11 +453,11 @@ impl Metrics {
         c(&mut out, "c1pd_degraded_replies_total", self.degraded_replies_total.get());
         c(&mut out, "c1pd_deadline_expired_total", self.deadline_expired_total.get());
         head(&mut out, "c1pd_build_info");
+        // the `mode` label is API; the event loop is the only server
         let _ = writeln!(
             out,
-            "c1pd_build_info{{version=\"{}\",mode=\"{}\"}} 1",
+            "c1pd_build_info{{version=\"{}\",mode=\"event-loop\"}} 1",
             env!("CARGO_PKG_VERSION"),
-            self.mode.get().copied().unwrap_or("unknown"),
         );
         g(&mut out, "c1pd_uptime_seconds", self.start.elapsed().as_secs() as i64);
         c(&mut out, "c1pd_traces_retained_total", self.traces_retained_total.get());
@@ -525,7 +527,6 @@ mod tests {
         m.deadline_expired_total.inc();
         m.traces_retained_total.inc();
         m.traces_dropped_total.inc();
-        m.set_mode("event-loop");
         for sh in &m.shards {
             sh.jobs_total.inc();
             sh.queue_depth.inc();

@@ -8,9 +8,9 @@
 //! `{ int fd; short events; short revents; }` and `nfds_t` is
 //! `unsigned long`.
 //!
-//! Non-unix hosts get a stub that always fails; the event-loop front-end
-//! is gated on it at startup (the thread-per-connection mode keeps
-//! working everywhere std does).
+//! Non-unix hosts get a stub that always fails, so the crate still
+//! builds there; the event loop, and with it `c1pd`, serves on unix
+//! only (`c1pd` exits 2 elsewhere).
 
 use std::io;
 
@@ -72,8 +72,7 @@ pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     Err(err)
 }
 
-/// Non-unix stub: the event loop refuses to start ([`crate::EventLoopOpts`]
-/// documents the fallback is the thread-per-connection mode).
+/// Non-unix stub: always fails (there is no server to fall back to).
 #[cfg(not(unix))]
 pub fn poll_fds(_fds: &mut [PollFd], _timeout_ms: i32) -> io::Result<usize> {
     Err(io::Error::new(io::ErrorKind::Unsupported, "poll(2) shim requires a unix host"))

@@ -8,9 +8,9 @@
 //! * **Trace ids are content-derived.** `splitmix64(fnv1a64(payload) ^
 //!   seed)` — a function of the request bytes and the server's
 //!   `--trace-seed`, not of arrival time or connection identity. The
-//!   same seeded request carries the same id through the legacy and
-//!   event-loop servers, which is what makes the cross-mode stability
-//!   test (and cross-mode debugging) possible.
+//!   same seeded request carries the same id whatever the shard count,
+//!   which is what makes the cross-shard-count stability test (and
+//!   debugging across deployments) possible.
 //! * **Head-sampling is deterministic.** A request is head-sampled iff
 //!   `splitmix64(trace_id ^ seed) % sample_every == 0`; `--trace-sample
 //!   0` disables tracing entirely and every hook collapses to an
@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-/// Tracing knobs, carried in [`crate::ServerOpts`].
+/// Tracing knobs, carried in `EventLoopOpts::trace`.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// Head-sample one request in `sample_every`; `0` disables tracing.
@@ -142,7 +142,7 @@ struct Retained {
 
 /// Stable ordering rank for lifecycle span names — ties on `start_us`
 /// (common for zero-length spans) sort in pipeline order, keeping the
-/// rendered span sequence deterministic across runs and server modes.
+/// rendered span sequence deterministic across runs and shard counts.
 fn rank(name: &str) -> usize {
     const ORDER: [&str; 15] = [
         "request",
@@ -182,7 +182,7 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer for `shards` rings (legacy mode passes 1).
+    /// A tracer with one ring per shard.
     pub fn new(cfg: TraceConfig, shards: usize) -> Tracer {
         Tracer { cfg, rings: (0..shards.max(1)).map(|_| Mutex::new(VecDeque::new())).collect() }
     }
@@ -347,11 +347,12 @@ fn render_jsonl(f: &Finishing, keep: Keep, total_us: u64) -> String {
     line
 }
 
-/// Projects a rendered JSONL trace line onto its mode-invariant
-/// structure: `trace_id kind span>parent ...`. Physical timings differ
-/// between the legacy and event-loop servers; the id, kind, span names,
-/// parents, and order do not — this is the byte-stable projection the
-/// cross-mode test compares (DESIGN.md §13).
+/// Projects a rendered JSONL trace line onto its shard-count-invariant
+/// structure: `trace_id kind span>parent ...`. Physical timings and the
+/// owning shard differ between servers run with different `--shards`;
+/// the id, kind, span names, parents, and order do not — this is the
+/// byte-stable projection the cross-shard-count test compares
+/// (DESIGN.md §13).
 pub fn structure(line: &str) -> Option<String> {
     let field = |key: &str, from: &str| -> Option<String> {
         let at = from.find(&format!("\"{key}\":"))?;

@@ -2,9 +2,11 @@
 //! answer with an *exact* error frame — right id echo, right
 //! [`ErrorCode`] — rather than silently dropping the connection. Covers
 //! the queue-depth, instance-size, connection-count and frame-size
-//! limits, plus the session error codes. Every test runs twice — legacy
-//! thread-per-connection mode and `--event-loop --shards 2` — because
-//! the two servers promise byte-identical refusal behaviour.
+//! limits, plus the session error codes. Every test runs twice: against
+//! the default 1-shard server (the unsuffixed tests) and with
+//! `--shards 2` (`_event_loop`, a name kept from when the event loop was
+//! the second of two servers), because refusals must not depend on the
+//! shard count.
 
 use c1p_engine::proto::{
     decode_msg, encode_msg, read_frame, write_frame, ErrorCode, Msg, DEFAULT_MAX_FRAME,
@@ -25,9 +27,9 @@ struct Server {
 
 static PORT_FILE_SEQ: AtomicU32 = AtomicU32::new(0);
 
-/// The `--event-loop` variant's extra flags (2 shards so the sharded
-/// paths participate in every refusal).
-const EVENT_LOOP: &[&str] = &["--event-loop", "--shards", "2"];
+/// The sharded variant's extra flags (2 shards so the sharded paths
+/// participate in every refusal).
+const EVENT_LOOP: &[&str] = &["--shards", "2"];
 
 impl Server {
     fn start(mode: &[&str], extra_args: &[&str]) -> Server {
@@ -103,8 +105,18 @@ fn queue_depth_and_instance_size(mode: &[&str]) {
     // within the atom limit but a zero-capacity queue: Overloaded
     let tiny = Ensemble::from_columns(3, vec![vec![0, 1]]).unwrap();
     expect_error(rpc(&conn, &Msg::Solve { id: 8, ens: tiny }), 8, ErrorCode::Overloaded);
-    // the connection survives both refusals
-    assert!(matches!(rpc(&conn, &Msg::GetStats), Msg::Stats { .. }));
+    // the connection survives both refusals, and the queue-cap refusal
+    // is counted exactly once in both the stats and the metrics dump
+    let json = match rpc(&conn, &Msg::GetStats) {
+        Msg::Stats { json } => json,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    assert!(json.contains("\"overloaded\": 1,"), "GetStats must count the refusal: {json}");
+    let text = match rpc(&conn, &Msg::GetMetrics) {
+        Msg::Metrics { text } => text,
+        other => panic!("expected Metrics, got {other:?}"),
+    };
+    assert_eq!(c1p_net::metrics::scrape(&text, "c1pd_overloaded_total"), Some(1.0));
 }
 
 fn connection_limit(mode: &[&str]) {

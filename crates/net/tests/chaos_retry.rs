@@ -49,7 +49,7 @@ impl Server {
         let child = Command::new(env!("CARGO_BIN_EXE_c1pd"))
             .args(["--addr", "127.0.0.1:0", "--port-file"])
             .arg(&port_file)
-            .args(["--threads", "1", "--event-loop"])
+            .args(["--threads", "1"])
             .args(extra_args)
             .stdout(Stdio::null())
             .stderr(Stdio::null())

@@ -2,7 +2,9 @@
 //! mid-append fault hook, and graceful SIGTERM — in every case the next
 //! process generation must recover the durable state exactly (sessions
 //! seal bit-identical to a one-shot solve, snapshots warm the cache) and
-//! never quarantine an honestly-written log.
+//! never quarantine an honestly-written log. A generation started with
+//! another shard count must refuse the directory instead of booting
+//! without its sessions.
 
 use c1p_cert::solve_certified;
 use c1p_engine::proto::{decode_msg, encode_msg, read_frame, write_frame, Msg, DEFAULT_MAX_FRAME};
@@ -242,5 +244,53 @@ fn sigterm_drains_gracefully_and_the_next_boot_starts_warm() {
     assert!(matches!(rpc(&conn, &Msg::Solve { id: 2, ens: probe }), Msg::Verdict { .. }));
     assert_eq!(stat(&gen1, "warm_start_hits"), 1, "first post-restart solve answered warm");
     assert_eq!(stat(&gen1, "misses"), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_wal_dir_laid_out_for_another_shard_count_is_refused() {
+    let dir = tdir("layout");
+    let stream = append_stream(48, 3, 3, 43);
+
+    // one shard logs at the top level of --wal-dir
+    let gen0 = Server::start(&dir, &[]);
+    let conn = gen0.connect();
+    let session = open(&conn, stream.n_atoms);
+    push_accept(&conn, session, stream.push_ensemble(0));
+    drop(conn);
+    gen0.kill9();
+
+    // a 2-shard server would look for logs under shard-i and strand the
+    // acknowledged session: it must refuse to boot, naming the log
+    let mut child = Command::new(env!("CARGO_BIN_EXE_c1pd"))
+        .args(["--addr", "127.0.0.1:0", "--wal-dir"])
+        .arg(&dir)
+        .args(["--shards", "2"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn c1pd");
+    let t0 = Instant::now();
+    while child.try_wait().expect("try_wait").is_none() {
+        if t0.elapsed() > Duration::from_secs(30) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("c1pd booted on a WAL dir laid out for 1 shard");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect c1pd output");
+    assert_eq!(out.status.code(), Some(2), "a layout mismatch exits 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("session-{session}.wal")), "names the log: {stderr}");
+
+    // the refusal touched nothing: the 1-shard server still recovers it
+    let gen1 = Server::start(&dir, &[]);
+    assert_eq!(stat(&gen1, "recovered_sessions"), 1);
+    let conn = gen1.connect();
+    for k in 1..stream.pushes.len() {
+        push_accept(&conn, session, stream.push_ensemble(k));
+    }
+    seal_and_check(&conn, session, &stream);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,10 @@
-//! The event-loop server against its legacy twin, over real TCP: same
-//! schedule, bit-identical verdict frames; sessions spread across shards
+//! The sharded server over real TCP: every reply byte-identical to the
+//! one an in-process engine computes; sessions spread across shards
 //! without changing a single verdict; pipelined requests answered
 //! strictly in order; durability counters visible in the metrics dump.
 
 use c1p_engine::proto::{decode_msg, encode_msg, read_frame, write_frame, Msg, DEFAULT_MAX_FRAME};
+use c1p_engine::{Engine, EngineConfig};
 use c1p_matrix::generate::{append_stream, mixed_schedule, AppendStream, MixedSchedule};
 use c1p_matrix::io::WireVerdict;
 use c1p_matrix::Ensemble;
@@ -96,6 +97,9 @@ fn run_schedule(server: &Server, schedule: &[Ensemble]) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// The oracle is one in-process engine answering the same schedule: a
+/// 3-shard server splits the cache and routes duplicates by canonical
+/// key, and none of that may change a byte of any reply.
 #[test]
 fn event_loop_verdicts_are_bit_identical_to_legacy() {
     let schedule = mixed_schedule(MixedSchedule {
@@ -106,19 +110,24 @@ fn event_loop_verdicts_are_bit_identical_to_legacy() {
         n_lo: 24,
         n_hi: 72,
     });
-    let legacy = Server::start(&[]);
-    let sharded = Server::start(&["--event-loop", "--shards", "3"]);
-    let a = run_schedule(&legacy, &schedule);
-    let b = run_schedule(&sharded, &schedule);
-    assert_eq!(a.len(), b.len());
-    for (i, (la, lb)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(la, lb, "request {i}: legacy and event-loop replies differ at the byte level");
+    let sharded = Server::start(&["--shards", "3"]);
+    let served = run_schedule(&sharded, &schedule);
+    let engine = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
+    assert_eq!(served.len(), schedule.len());
+    for (i, (ens, got)) in schedule.iter().zip(&served).enumerate() {
+        let id = i as u64;
+        let reply = match engine.solve(ens) {
+            Ok(verdict) => Msg::Verdict { id, verdict: verdict.to_wire() },
+            Err(e) => c1p_net::engine_error(id, e),
+        };
+        assert!(matches!(reply, Msg::Verdict { .. }), "request {i}: {reply:?}");
+        assert_eq!(got, &encode_msg(&reply), "request {i}: served and in-process replies differ");
     }
 }
 
 #[test]
 fn pipelined_requests_come_back_in_request_order() {
-    let server = Server::start(&["--event-loop", "--shards", "4"]);
+    let server = Server::start(&["--shards", "4"]);
     let schedule = mixed_schedule(MixedSchedule {
         requests: 48,
         seed: 7,
@@ -148,7 +157,7 @@ fn pipelined_requests_come_back_in_request_order() {
 
 #[test]
 fn sessions_spread_across_shards_and_seal_correctly() {
-    let server = Server::start(&["--event-loop", "--shards", "3"]);
+    let server = Server::start(&["--shards", "3"]);
     let conn = server.connect();
     // more sessions than shards: round-robin opens must hand out distinct
     // public handles that route back to their owning shard on every push
@@ -206,13 +215,8 @@ fn metrics_dump_carries_durability_counters() {
     let _ = std::fs::remove_dir_all(&wal);
     std::fs::create_dir_all(&wal).expect("wal dir");
     let wal_s: PathBuf = wal.clone();
-    let server = Server::start(&[
-        "--event-loop",
-        "--shards",
-        "2",
-        "--wal-dir",
-        wal_s.to_str().expect("utf-8 temp dir"),
-    ]);
+    let server =
+        Server::start(&["--shards", "2", "--wal-dir", wal_s.to_str().expect("utf-8 temp dir")]);
     let conn = server.connect();
     // one durable session push per shard: WAL appends and fsyncs happen
     let st = append_stream(32, 2, 3, 9);
@@ -253,7 +257,7 @@ fn metrics_dump_carries_durability_counters() {
 
 #[test]
 fn get_stats_sums_engine_counters_across_shards() {
-    let server = Server::start(&["--event-loop", "--shards", "3"]);
+    let server = Server::start(&["--shards", "3"]);
     let conn = server.connect();
     let schedule = mixed_schedule(MixedSchedule {
         requests: 24,

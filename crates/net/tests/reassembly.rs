@@ -1,9 +1,10 @@
 //! Cross-wakeup frame reassembly over a real socket: a seeded fuzz
 //! feeds every frame type 1–3 bytes per write, so the length prefix and
 //! every payload straddle many reads, and the verdicts must come back
-//! byte-identical to whole-frame delivery. Runs against both server
-//! modes — the event loop reassembles in [`c1p_net::conn::FrameReader`],
-//! the legacy mode inside blocking `read_frame_until` calls — plus the
+//! byte-identical to whole-frame delivery. Reassembly lives in
+//! [`c1p_net::conn::FrameReader`]; each check runs against the default
+//! 1-shard server (`_legacy`, a name kept from the thread-per-connection
+//! server it used to cover) and a 2-shard one (`_event_loop`), plus the
 //! nastiest truncation: EOF in the middle of a length prefix.
 
 use c1p_engine::proto::{decode_msg, encode_msg, read_frame, write_frame, Msg, DEFAULT_MAX_FRAME};
@@ -161,10 +162,10 @@ fn assert_equivalent(whole: &[Msg], dribbled: &[Msg]) {
     }
 }
 
-/// `session` is the handle the server's first `OpenSession` hands out —
-/// 1 in legacy mode (engine-local ids start at 1), `1·shards + 0` under
-/// the event loop's public-id interleaving. A fresh server per run keeps
-/// the handle, the cache state and every reply deterministic.
+/// `session` is the handle the server's first `OpenSession` hands out:
+/// `1·shards + 0` under the public-id interleaving (engine-local ids
+/// start at 1). A fresh server per run keeps the handle, the cache state
+/// and every reply deterministic.
 fn dribble_fuzz(mode: &[&str], session: u64) {
     let whole = run(&Server::start(mode), session, None);
     // sanity: the mix exercised real verdicts (the open/push/seal
@@ -188,7 +189,7 @@ fn dribbled_frames_reassemble_identically_legacy() {
 
 #[test]
 fn dribbled_frames_reassemble_identically_event_loop() {
-    dribble_fuzz(&["--event-loop", "--shards", "2"], 2);
+    dribble_fuzz(&["--shards", "2"], 2);
 }
 
 fn truncated_prefix(mode: &[&str]) {
@@ -234,5 +235,5 @@ fn truncated_length_prefix_never_wedges_legacy() {
 
 #[test]
 fn truncated_length_prefix_never_wedges_event_loop() {
-    truncated_prefix(&["--event-loop", "--shards", "2"]);
+    truncated_prefix(&["--shards", "2"]);
 }

@@ -1,7 +1,9 @@
-//! The `--read-timeout-ms` stall budget, in both server modes: a peer
-//! that stalls *mid-frame* past the budget gets one exact `Timeout`
-//! error frame, then the close — while a peer that is merely idle
-//! *between* frames is never reaped, no matter how long it sits.
+//! The `--read-timeout-ms` stall budget: a peer that stalls *mid-frame*
+//! past the budget gets one exact `Timeout` error frame, then the close
+//! — while a peer that is merely idle *between* frames is never reaped,
+//! no matter how long it sits. Each check runs against the default
+//! 1-shard server (`_legacy`, a name kept from the thread-per-connection
+//! server it used to cover) and a 2-shard one (`_event_loop`).
 
 use c1p_engine::proto::{
     decode_msg, encode_msg, read_frame, write_frame, ErrorCode, Msg, DEFAULT_MAX_FRAME,
@@ -110,7 +112,7 @@ fn stalled_length_prefix_times_out_legacy() {
 
 #[test]
 fn stalled_length_prefix_times_out_event_loop() {
-    stalled_mid_frame_gets_exact_timeout(&["--event-loop", "--shards", "2"], &[0x08, 0x00]);
+    stalled_mid_frame_gets_exact_timeout(&["--shards", "2"], &[0x08, 0x00]);
 }
 
 #[test]
@@ -121,10 +123,7 @@ fn stalled_payload_times_out_legacy() {
 
 #[test]
 fn stalled_payload_times_out_event_loop() {
-    stalled_mid_frame_gets_exact_timeout(
-        &["--event-loop", "--shards", "2"],
-        &[0x08, 0x00, 0x00, 0x00, 0x04],
-    );
+    stalled_mid_frame_gets_exact_timeout(&["--shards", "2"], &[0x08, 0x00, 0x00, 0x00, 0x04]);
 }
 
 /// Idle *between* frames is not a stall: a connection that sits silent
@@ -151,7 +150,7 @@ fn idle_between_frames_survives_legacy() {
 
 #[test]
 fn idle_between_frames_survives_event_loop() {
-    idle_between_frames_is_never_reaped(&["--event-loop", "--shards", "2"]);
+    idle_between_frames_is_never_reaped(&["--shards", "2"]);
 }
 
 /// `--read-timeout-ms 0` disables the reaper entirely: a partial frame
@@ -180,5 +179,5 @@ fn zero_budget_disables_reaper_legacy() {
 
 #[test]
 fn zero_budget_disables_reaper_event_loop() {
-    zero_budget_disables_the_reaper(&["--event-loop", "--shards", "2"]);
+    zero_budget_disables_the_reaper(&["--shards", "2"]);
 }

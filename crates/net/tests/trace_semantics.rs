@@ -4,9 +4,11 @@
 //! solver phase laid end-to-end inside it) → flush — with monotone,
 //! non-overlapping children that sum to no more than the root. And the
 //! *structure* of that trace (trace id, kind, span names, parents,
-//! order) must be byte-identical between the legacy and event-loop
-//! servers for the same seeded request, even though physical timings
-//! differ (the cross-mode contract in DESIGN.md §13).
+//! order) must be byte-identical between a 1-shard and a 2-shard server
+//! for the same seeded request, even though physical timings and the
+//! owning shard differ (the cross-shard-count contract in DESIGN.md
+//! §13). The `_legacy` test runs the default 1-shard server; its name is
+//! kept from the thread-per-connection server it used to cover.
 
 use c1p_engine::proto::{decode_msg, encode_msg, read_frame, write_frame, Msg, DEFAULT_MAX_FRAME};
 use c1p_matrix::io::fig2_matrix;
@@ -24,10 +26,10 @@ struct Server {
 
 static PORT_FILE_SEQ: AtomicU32 = AtomicU32::new(0);
 
-const EVENT_LOOP: &[&str] = &["--event-loop", "--shards", "2"];
+const EVENT_LOOP: &[&str] = &["--shards", "2"];
 
 /// Sampling on for every frame, fixed seed so trace ids are
-/// reproducible across both server modes.
+/// reproducible across shard counts.
 const TRACING: &[&str] = &["--trace-sample", "1", "--trace-seed", "7"];
 
 impl Server {
@@ -204,16 +206,17 @@ fn solve_span_tree_event_loop() {
     solve_span_tree_is_complete_and_wellformed(EVENT_LOOP);
 }
 
-/// The cross-mode contract: the same seeded request produces the same
-/// trace id (ids are content-derived) and the same structural projection
-/// — span names, parents, order — in both server modes, byte for byte.
+/// The cross-shard-count contract: the same seeded request produces the
+/// same trace id (ids are content-derived) and the same structural
+/// projection — span names, parents, order — at 1 and 2 shards, byte for
+/// byte.
 #[test]
 fn trace_structure_is_stable_across_modes() {
-    let legacy = solve_trace_line(&[]);
-    let event_loop = solve_trace_line(EVENT_LOOP);
-    let a = c1p_net::trace::structure(&legacy).expect("legacy line projects");
-    let b = c1p_net::trace::structure(&event_loop).expect("event-loop line projects");
-    assert_eq!(a, b, "legacy:\n{legacy}\nevent-loop:\n{event_loop}");
+    let one = solve_trace_line(&[]);
+    let two = solve_trace_line(EVENT_LOOP);
+    let a = c1p_net::trace::structure(&one).expect("1-shard line projects");
+    let b = c1p_net::trace::structure(&two).expect("2-shard line projects");
+    assert_eq!(a, b, "1 shard:\n{one}\n2 shards:\n{two}");
 }
 
 /// Exemplars rendered into the metrics text must point at trace ids the
