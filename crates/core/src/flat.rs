@@ -7,8 +7,8 @@
 //! kind the paper's PRAM accounting assumes away (the divide is "a
 //! constant number of scans"). This module stores each subproblem's
 //! columns as one CSR arena: an `offsets` array plus a single `data`
-//! array, so a whole level's divide is two linear scans and at most
-//! three amortized allocations total.
+//! array, so a divide is one pass over the entries into arenas sized up
+//! front and recycled through a per-thread pool.
 //!
 //! **Sortedness invariant:** every column is strictly ascending. All
 //! builders in the solver map sorted columns through *monotone*
@@ -43,8 +43,9 @@ impl FlatCols {
     }
 
     /// An empty collection with room for `cols` columns over `entries`
-    /// total atoms (no reallocation while building within those bounds).
-    /// Buffers come from the per-thread recycling pool.
+    /// total atoms: no reallocation while building within those bounds.
+    /// Buffers come from the per-thread recycling pool, and a recycled
+    /// buffer smaller than asked for is grown to the full request first.
     pub fn with_capacity(cols: usize, entries: usize) -> Self {
         let mut offsets = take_u32(cols + 1);
         offsets.push(0);
@@ -284,9 +285,9 @@ impl SplitCols {
         self.ty[i]
     }
 
-    /// Assembles from prebuilt CSR parts; the parallel divide's
-    /// counterpart of [`Self::finish_parts_col`]. Takes the raw
-    /// offsets/data rather than a [`FlatCols`] because a parts column
+    /// Assembles from prebuilt CSR parts, as both divides build them.
+    /// Takes the raw offsets/data rather than a [`FlatCols`] because a
+    /// parts column
     /// (segment half followed by host half) deliberately violates the
     /// whole-column ordering invariant [`FlatCols::from_raw`] checks;
     /// each *half* must be ascending (debug-checked below).
@@ -317,10 +318,11 @@ impl SplitCols {
     }
 
     /// Seals the in-progress parts column whose first `seg_len` atoms are
-    /// the segment part. The two halves are each ascending; their
+    /// the segment part (test scaffolding: the divides build through
+    /// [`Self::from_raw`]). The two halves are each ascending; their
     /// concatenation deliberately is not, so this bypasses
     /// [`FlatCols::finish_col`]'s whole-column ordering assertion.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn finish_parts_col(&mut self, seg_len: usize, ty: CrossType) {
         debug_assert!({
             let col = &self.parts.data[self.parts.building_start()..];
@@ -368,9 +370,10 @@ macro_rules! buf_pool {
             }
             .unwrap_or_default();
             v.clear();
-            if v.capacity() < cap {
-                v.reserve(cap - v.capacity());
-            }
+            // on the now-empty vector `reserve(cap)` guarantees
+            // `capacity >= cap`: the promise `FlatCols::with_capacity`
+            // makes and the divide's pre-sized writes rely on
+            v.reserve(cap);
             v
         }
 
@@ -434,7 +437,8 @@ impl Drop for SplitCols {
 pub struct Scratch {
     /// Membership bitmap over subproblem-local atoms.
     pub mark: Vec<bool>,
-    /// Local renumbering (`u32::MAX` = absent).
+    /// Local renumbering (`u32::MAX` = absent). The divide packs the
+    /// atom's side into the low bit: `idx << 1 | (a ∈ A1)`.
     pub place: Vec<u32>,
     /// Order positions (`u32::MAX` = absent).
     pub pos: Vec<u32>,
@@ -624,6 +628,15 @@ mod tests {
         sc.finish_parts_col(1, CrossType::C);
         assert_eq!(sc.seg(0), &[0]);
         assert_eq!(sc.host(0), &[] as &[u32]);
+    }
+
+    #[test]
+    fn pooled_take_honours_the_full_request() {
+        // a recycled 10-slot buffer asked for 15 must come back with 15
+        recycle_u32(Vec::with_capacity(10));
+        assert!(take_u32(15).capacity() >= 15);
+        recycle_ty(Vec::with_capacity(10));
+        assert!(take_ty(15).capacity() >= 15);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! preserved through monotone renumberings and asserted in debug).
 
 use crate::align::{align_host_cyclic, align_side1, align_side2, Aligned, ChordInfo, CrossType};
-use crate::flat::{with_scratch, FlatCols, SplitCols};
+use crate::flat::{take_ty, take_u32, with_scratch, FlatCols, SplitCols};
 use crate::merge::{merge_with, MergeMode};
 use crate::partition::{grow_segment, proper_column, tucker_transform, Growth};
 use crate::stats::{SolveStats, PH_ALIGN, PH_DECOMPOSE, PH_MERGE, PH_PARTITION, PH_PREPARE};
@@ -332,83 +332,118 @@ pub struct SplitData {
 }
 
 /// The divide: split columns across `{A1, A2}` and classify (Step 2 +
-/// Step 4's type identification). One counting-free linear pass: each
-/// column streams its segment part into the CSR arena (staging the host
-/// part in scratch), emitting both side projections on the fly through
-/// the monotone `place` renumbering — which keeps every output column
-/// sorted, so the old per-level `sort_unstable` calls are gone entirely.
+/// Step 4's type identification) in one branch-free pass over the
+/// entries.
+///
+/// The scratch `place` table packs each atom's side and its index within
+/// that side (`place[a] = idx << 1 | (a ∈ A1)`), so an entry costs one
+/// table load. Every entry is then written to both of its candidate
+/// slots — the parts arena (segment part) and the host staging buffer,
+/// and both side projections — and one cursor advances by the side bit;
+/// a slot written for the other side is overwritten by a later entry or
+/// lies past the final length. The arenas are sized up front from `p`
+/// and `m`, so the inner loop has no data-dependent branch and no
+/// capacity check. The monotone `place` renumbering keeps every output
+/// column sorted, so no level re-sorts.
 ///
 /// Public so benches can measure the divide in isolation; not a stable
 /// API.
 pub fn prepare_split(sub: &SubProblem, a1: &[u32]) -> SplitData {
     let k = sub.n;
-    let m = sub.cols.n_cols();
-    let p = sub.cols.total_len();
+    let (offsets, data) = sub.cols.raw_csr();
+    let m = offsets.len() - 1;
+    let p = data.len();
+    debug_assert!(k < 1 << 31, "side index must fit beside the side bit");
     with_scratch(k, |s| {
-        // place[a] = a's index within its own side; mark[a] = a ∈ A1
         for (i, &a) in a1.iter().enumerate() {
-            s.mark[a as usize] = true;
-            s.place[a as usize] = i as u32;
+            s.place[a as usize] = (i as u32) << 1 | 1;
         }
         let mut a2: Vec<u32> = Vec::with_capacity(k - a1.len());
         for a in 0..k as u32 {
-            if !s.mark[a as usize] {
-                s.place[a as usize] = a2.len() as u32;
+            if s.place[a as usize] == u32::MAX {
+                s.place[a as usize] = (a2.len() as u32) << 1;
                 a2.push(a);
             }
         }
         let (k1, k2) = (a1.len(), a2.len());
         debug_assert!(k1 > 0 && k2 > 0, "partition must be proper");
-        let mut split_cols = SplitCols::with_capacity(m, p);
-        let mut cols1 = FlatCols::with_capacity(m, p.min(k1 * m));
-        let mut cols2 = FlatCols::with_capacity(m, p);
-        for col in sub.cols.iter() {
-            debug_assert!(s.tmp.is_empty());
-            for &a in col {
-                if s.mark[a as usize] {
-                    split_cols.parts.push(a);
-                    cols1.push(s.place[a as usize]);
-                } else {
-                    s.tmp.push(a);
-                    cols2.push(s.place[a as usize]);
+        let max_len = offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
+        s.tmp.reserve(max_len);
+        // a parts column has its input column's length: same offsets
+        let mut parts_off = take_u32(m + 1);
+        parts_off.extend_from_slice(offsets);
+        let mut parts = take_u32(p);
+        let mut seg_len = take_u32(m);
+        let mut ty = take_ty(m);
+        let (mut offs1, mut offs2) = (take_u32(m + 1), take_u32(m + 1));
+        offs1.push(0);
+        offs2.push(0);
+        let (mut data1, mut data2) = (take_u32(p), take_u32(p));
+        let (parts_ptr, stage_ptr) = (parts.as_mut_ptr(), s.tmp.as_mut_ptr());
+        let (d1_ptr, d2_ptr) = (data1.as_mut_ptr(), data2.as_mut_ptr());
+        let place = &s.place;
+        let (mut c1, mut c2) = (0usize, 0usize);
+        for ci in 0..m {
+            let (lo, hi) = (offsets[ci] as usize, offsets[ci + 1] as usize);
+            let mut sn = 0usize;
+            for (j, &a) in data[lo..hi].iter().enumerate() {
+                let packed = place[a as usize];
+                let hn = j - sn;
+                // SAFETY: `sn + hn = j < hi - lo`, so the parts slot
+                // `lo + sn < hi <= p` and the staging slot `hn < max_len`,
+                // both within the reserved capacities. `c1` (`c2`) sums
+                // the kept segment (host) part lengths of earlier
+                // columns, so it is at most `lo`, and `c1 + sn < hi <= p`
+                // bounds the projection slots the same way.
+                unsafe {
+                    parts_ptr.add(lo + sn).write(a);
+                    stage_ptr.add(hn).write(a);
+                    d1_ptr.add(c1 + sn).write(packed >> 1);
+                    d2_ptr.add(c2 + hn).write(packed >> 1);
                 }
+                sn += (packed & 1) as usize;
             }
-            let sn = split_cols.parts.building_len();
-            let hn = s.tmp.len();
-            split_cols.parts.extend_building(&s.tmp);
-            s.tmp.clear();
-            let ty = if sn == 0 || hn == 0 {
+            let hn = hi - lo - sn;
+            // SAFETY: the host part fills parts slots `lo + sn..hi`, in
+            // bounds as above; the staging buffer is a separate
+            // allocation, so the ranges cannot overlap.
+            unsafe { std::ptr::copy_nonoverlapping(stage_ptr, parts_ptr.add(lo + sn), hn) };
+            seg_len.push(sn as u32);
+            ty.push(if sn == 0 || hn == 0 {
                 CrossType::C
             } else if sn == k1 {
                 CrossType::A
             } else {
                 CrossType::B
-            };
-            split_cols.finish_parts_col(sn, ty);
+            });
             // side projections keep restrictions with ≥ 2 atoms that do
             // not cover the whole side
             if sn >= 2 && sn < k1 {
-                cols1.finish_col();
-            } else {
-                cols1.cancel_col();
+                c1 += sn;
+                offs1.push(c1 as u32);
             }
             if hn >= 2 && hn < k2 {
-                cols2.finish_col();
-            } else {
-                cols2.cancel_col();
+                c2 += hn;
+                offs2.push(c2 as u32);
             }
         }
-        // restore scratch (O(k): every atom was touched)
-        for a in 0..k {
-            s.mark[a] = false;
-            s.place[a] = u32::MAX;
+        // SAFETY: every parts slot `0..p` holds its column's segment or
+        // host atom, and each kept projection column's slots were last
+        // written by its own entries (a later stray write lands at or past
+        // the next column's start, which that column rewrites first).
+        unsafe {
+            parts.set_len(p);
+            data1.set_len(c1);
+            data2.set_len(c2);
         }
+        // restore scratch (O(k): every atom was touched)
+        s.place[..k].fill(u32::MAX);
         SplitData {
             a1: a1.to_vec(),
             a2,
-            split_cols,
-            sub1: SubProblem { n: k1, cols: cols1 },
-            sub2: SubProblem { n: k2, cols: cols2 },
+            split_cols: SplitCols::from_raw(parts_off, parts, seg_len, ty),
+            sub1: SubProblem { n: k1, cols: FlatCols::from_raw(offs1, data1) },
+            sub2: SubProblem { n: k2, cols: FlatCols::from_raw(offs2, data2) },
         }
     })
 }

@@ -116,6 +116,121 @@ fn parallel_divide_matches_sequential_divide() {
     });
 }
 
+/// Asserts `prepare_split` matches the seed's nested-vec divide and
+/// `prepare_split_par` matches `prepare_split`, field by field.
+fn check_divide(sub: &SubProblem, a1: &[u32], what: &str) {
+    use c1p_core::solver::prepare_split_par;
+    let nested = NaiveSub { n: sub.n, cols: sub.cols.iter().map(|c| c.to_vec()).collect() };
+    let (ref_split, ref_sub1, ref_sub2) = naive_prepare_split(&nested, a1);
+    let got = prepare_split(sub, a1);
+    assert_eq!(got.a1, a1, "{what}");
+    assert_eq!(got.a1.len() + got.a2.len(), sub.n, "{what}");
+    assert_eq!(got.split_cols.len(), ref_split.len(), "{what}");
+    for (ci, sc) in ref_split.iter().enumerate() {
+        assert_eq!(got.split_cols.seg(ci), sc.seg_part.as_slice(), "{what} col {ci}");
+        assert_eq!(got.split_cols.host(ci), sc.host_part.as_slice(), "{what} col {ci}");
+        assert_eq!(got.split_cols.ty(ci) as u8, sc.ty, "{what} col {ci}");
+    }
+    let got_cols1: Vec<Vec<u32>> = got.sub1.cols.iter().map(|c| c.to_vec()).collect();
+    let got_cols2: Vec<Vec<u32>> = got.sub2.cols.iter().map(|c| c.to_vec()).collect();
+    assert_eq!((got.sub1.n, got.sub2.n), (ref_sub1.n, ref_sub2.n), "{what}");
+    assert_eq!(got_cols1, ref_sub1.cols, "{what}: segment projection differs");
+    assert_eq!(got_cols2, ref_sub2.cols, "{what}: host projection differs");
+    let par = prepare_split_par(sub, a1);
+    assert_eq!((&par.a1, &par.a2), (&got.a1, &got.a2), "{what}: par sides");
+    assert_eq!((&par.sub1, &par.sub2), (&got.sub1, &got.sub2), "{what}: par projections");
+    for ci in 0..got.split_cols.len() {
+        assert_eq!(par.split_cols.seg(ci), got.split_cols.seg(ci), "{what}: par col {ci}");
+        assert_eq!(par.split_cols.host(ci), got.split_cols.host(ci), "{what}: par col {ci}");
+        assert_eq!(par.split_cols.ty(ci), got.split_cols.ty(ci), "{what}: par col {ci}");
+    }
+}
+
+/// A random sorted subset of `from` with `len` atoms (clamped to `from`).
+fn pick(rng: &mut SmallRng, from: &[u32], len: usize) -> Vec<u32> {
+    let len = len.min(from.len());
+    let mut out: Vec<u32> = Vec::with_capacity(len);
+    // selection sampling keeps the output ascending without a sort
+    let mut need = len;
+    for (i, &a) in from.iter().enumerate() {
+        if rng.random_range(0..from.len() - i) < need {
+            out.push(a);
+            need -= 1;
+        }
+    }
+    out
+}
+
+/// Columns of the shapes the one-pass divide must get right: all of `A1`
+/// (type A), `A1` plus some host atoms, entirely inside one side (type C,
+/// including all of `A2`), one atom on a side (a singleton restriction,
+/// dropped from that side's projection), and scattered crossings.
+fn edge_columns(rng: &mut SmallRng, a1: &[u32], a2: &[u32], m: usize) -> FlatCols {
+    let mut cols = FlatCols::new();
+    let merge = |x: &[u32], y: &[u32]| -> Vec<u32> {
+        let mut c: Vec<u32> = x.iter().chain(y).copied().collect();
+        c.sort_unstable();
+        c
+    };
+    while cols.n_cols() < m {
+        let (h1, h2) = (rng.random_range(0..=a1.len()), rng.random_range(0..=a2.len()));
+        let col = match rng.random_range(0..8u32) {
+            0 => a1.to_vec(),
+            1 => merge(a1, &pick(rng, a2, h2)),
+            2 => pick(rng, a1, h1),
+            3 => pick(rng, a2, h2),
+            4 => a2.to_vec(),
+            5 => merge(&pick(rng, a1, 1), &pick(rng, a2, h2)),
+            6 => merge(&pick(rng, a1, h1), &pick(rng, a2, 1)),
+            _ => merge(&pick(rng, a1, h1), &pick(rng, a2, h2)),
+        };
+        if col.len() >= 2 {
+            cols.push_col(col);
+        }
+    }
+    cols
+}
+
+#[test]
+fn divide_edge_shapes_match_the_oracle_and_the_parallel_divide() {
+    // a real multi-worker pool, so the parallel fills genuinely race
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+    pool.install(|| {
+        let mut case = 0u64;
+        for k in [3usize, 4, 5, 17, 64, 255, 1024, 4096] {
+            for side in 0..4u32 {
+                case += 1;
+                let mut rng = SmallRng::seed_from_u64(0xED6E ^ case);
+                let all: Vec<u32> = (0..k as u32).collect();
+                // |A1| = 1, |A2| = 1, a random cut, a contiguous block
+                let a1: Vec<u32> = match side {
+                    0 => pick(&mut rng, &all, 1),
+                    1 => {
+                        let out = rng.random_range(0..k as u32);
+                        all.iter().copied().filter(|&a| a != out).collect()
+                    }
+                    2 => {
+                        let len = rng.random_range(1..k);
+                        pick(&mut rng, &all, len)
+                    }
+                    _ => {
+                        let len = rng.random_range(1..k);
+                        let lo = rng.random_range(0..=k - len) as u32;
+                        (lo..lo + len as u32).collect()
+                    }
+                };
+                let a2: Vec<u32> =
+                    all.iter().copied().filter(|a| a1.binary_search(a).is_err()).collect();
+                // many columns on small sizes (so the parallel passes
+                // split into several chunks), fewer on large ones
+                let m = if k <= 255 { 600 } else { 24 };
+                let cols = edge_columns(&mut rng, &a1, &a2, m);
+                check_divide(&SubProblem { n: k, cols }, &a1, &format!("k {k} side {side}"));
+            }
+        }
+    });
+}
+
 // ---------------------------------------------------------------------
 // layer 2: whole-solver differential vs Booth–Lueker
 // ---------------------------------------------------------------------

@@ -223,41 +223,82 @@ impl Ensemble {
     /// Connected components of the associated bipartite graph `B` on
     /// `A ∪ 𝒞` (Section 3: "the vertex set of a component of B induces a
     /// unique subensemble"). Atoms contained in no column form singleton
-    /// atom-only components. Returns `(atom_sets, column_sets)` per
-    /// component.
+    /// atom-only components; empty columns belong to no component.
+    /// Returns `(atom_sets, column_sets)` per component, in order of each
+    /// component's smallest atom, both lists ascending.
+    ///
+    /// Linear in `n + m + p`: the atom→column adjacency is built in CSR
+    /// form (count, prefix-sum, fill), a DFS from ascending start atoms
+    /// labels every atom and column, and ascending scans emit the lists.
+    /// Only the work tables and one pair of vectors per component are
+    /// allocated, and nothing is sorted.
     pub fn components(&self) -> Vec<(Vec<Atom>, Vec<u32>)> {
-        let memb = self.atom_memberships();
-        let mut atom_comp = vec![usize::MAX; self.n_atoms];
-        let mut col_comp = vec![usize::MAX; self.columns.len()];
-        let mut comps: Vec<(Vec<Atom>, Vec<u32>)> = Vec::new();
+        const NONE: u32 = u32::MAX;
+        let n = self.n_atoms;
+        // adj[start[a]..start[a + 1]] = columns containing atom a, ascending
+        let mut start = vec![0u32; n + 1];
+        for &a in self.columns.iter().flatten() {
+            start[a as usize + 1] += 1;
+        }
+        for a in 0..n {
+            start[a + 1] += start[a];
+        }
+        let mut adj = vec![0u32; start[n] as usize];
+        for (ci, col) in self.columns.iter().enumerate() {
+            for &a in col {
+                adj[start[a as usize] as usize] = ci as u32;
+                start[a as usize] += 1;
+            }
+        }
+        // the fill advanced start[a] to atom a's end, which is atom a+1's
+        // start: shift back by one slot
+        start.copy_within(..n, 1);
+        start[0] = 0;
+
+        let mut atom_comp = vec![NONE; n];
+        let mut col_comp = vec![NONE; self.columns.len()];
+        let mut n_comps = 0u32;
         let mut stack: Vec<Atom> = Vec::new();
-        for start in 0..self.n_atoms {
-            if atom_comp[start] != usize::MAX {
+        for s in 0..n {
+            if atom_comp[s] != NONE {
                 continue;
             }
-            let id = comps.len();
-            comps.push((Vec::new(), Vec::new()));
-            atom_comp[start] = id;
-            stack.push(start as Atom);
+            atom_comp[s] = n_comps;
+            stack.push(s as Atom);
             while let Some(a) = stack.pop() {
-                comps[id].0.push(a);
-                for &ci in &memb[a as usize] {
-                    if col_comp[ci as usize] == usize::MAX {
-                        col_comp[ci as usize] = id;
-                        comps[id].1.push(ci);
+                for &ci in &adj[start[a as usize] as usize..start[a as usize + 1] as usize] {
+                    if col_comp[ci as usize] == NONE {
+                        col_comp[ci as usize] = n_comps;
                         for &b in &self.columns[ci as usize] {
-                            if atom_comp[b as usize] == usize::MAX {
-                                atom_comp[b as usize] = id;
+                            if atom_comp[b as usize] == NONE {
+                                atom_comp[b as usize] = n_comps;
                                 stack.push(b);
                             }
                         }
                     }
                 }
             }
+            n_comps += 1;
         }
-        for comp in &mut comps {
-            comp.0.sort_unstable();
-            comp.1.sort_unstable();
+
+        let mut sizes = vec![(0usize, 0usize); n_comps as usize];
+        for &c in &atom_comp {
+            sizes[c as usize].0 += 1;
+        }
+        for &c in col_comp.iter().filter(|&&c| c != NONE) {
+            sizes[c as usize].1 += 1;
+        }
+        let mut comps: Vec<(Vec<Atom>, Vec<u32>)> = sizes
+            .iter()
+            .map(|&(na, nc)| (Vec::with_capacity(na), Vec::with_capacity(nc)))
+            .collect();
+        for (a, &c) in atom_comp.iter().enumerate() {
+            comps[c as usize].0.push(a as Atom);
+        }
+        for (ci, &c) in col_comp.iter().enumerate() {
+            if c != NONE {
+                comps[c as usize].1.push(ci as u32);
+            }
         }
         comps
     }

@@ -1406,8 +1406,10 @@ fn chaos_main(args: &[String]) {
                 eprintln!("FAIL: no supervised shard restart happened");
                 failed = true;
             }
-            let recovered = fetch_stat(&addr, "\"recovered_sessions\":").unwrap_or(-1);
-            if recovered < 1 {
+            // read from the retried dump: `GetStats` reports the same sum,
+            // but one unretried connection can meet an injected fault
+            let recovered = scrape(&dump, "c1pd_recovered_sessions_total");
+            if recovered < 1.0 {
                 eprintln!("FAIL: no session was recovered from the WAL after a restart");
                 failed = true;
             }
