@@ -166,11 +166,12 @@ impl FlatCols {
         self.data.clear();
     }
 
-    /// Assembles from prebuilt CSR parts — the parallel divide computes
-    /// `offsets` with a prefix sum and fills `data` concurrently at the
-    /// computed positions, then hands both over wholesale. `offsets`
-    /// must start at 0, be non-decreasing, and end at `data.len()`;
-    /// every column must obey the sortedness invariant (debug-checked).
+    /// Assembles from prebuilt CSR parts — the divides compute `offsets`
+    /// and fill `data` at the computed positions, then hand both over
+    /// wholesale. `offsets` must start at 0, be non-decreasing, and end
+    /// at `data.len()`; every column must obey the sortedness invariant.
+    /// The two end conditions are checked always (the divide's unchecked
+    /// writes rely on the leading 0), the rest in debug builds.
     pub fn from_raw(mut offsets: Vec<u32>, data: Vec<u32>) -> Self {
         if offsets.is_empty() {
             // 0-column degenerate shape: normalize to the canonical empty
@@ -178,9 +179,9 @@ impl FlatCols {
             debug_assert!(data.is_empty(), "data without offsets");
             offsets.push(0);
         }
-        debug_assert!(
-            offsets.first() == Some(&0)
-                && offsets.last().copied().unwrap_or(0) as usize == data.len()
+        assert!(
+            offsets[0] == 0 && offsets[offsets.len() - 1] as usize == data.len(),
+            "CSR offsets must start at 0 and end at data.len()"
         );
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         let out = FlatCols { offsets, data };

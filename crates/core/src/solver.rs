@@ -15,8 +15,8 @@
 //!   Case 2 additionally cuts the merged cycle at the transform atom `r`.
 //!
 //! Subproblem columns live in flat CSR arenas ([`FlatCols`], DESIGN.md
-//! §3): the whole divide is a constant number of linear scans through
-//! per-thread [`Scratch`](crate::flat::Scratch) tables, with no
+//! §3): the divide is one branch-free pass over the entries, driven by a
+//! per-thread [`Scratch`](crate::flat::Scratch) table, with no
 //! per-column heap traffic and no per-level re-sorting (sortedness is
 //! preserved through monotone renumberings and asserted in debug).
 
@@ -352,7 +352,10 @@ pub fn prepare_split(sub: &SubProblem, a1: &[u32]) -> SplitData {
     let k = sub.n;
     let (offsets, data) = sub.cols.raw_csr();
     let m = offsets.len() - 1;
-    let p = data.len();
+    // the finished columns tile `data[..p]` (`offsets[0] == 0` is a
+    // `FlatCols` invariant); an unfinished column's atoms stay out
+    let p = offsets[m] as usize;
+    let data = &data[..p];
     debug_assert!(k < 1 << 31, "side index must fit beside the side bit");
     with_scratch(k, |s| {
         for (i, &a) in a1.iter().enumerate() {
