@@ -248,8 +248,10 @@ pub struct SplitCols {
 }
 
 impl SplitCols {
-    /// Pre-sized builder state (pool-backed, like [`FlatCols`]).
-    pub fn with_capacity(cols: usize, entries: usize) -> Self {
+    /// Pre-sized builder state (pool-backed, like [`FlatCols`]); test
+    /// scaffolding with [`Self::finish_parts_col`].
+    #[cfg(test)]
+    pub(crate) fn with_capacity(cols: usize, entries: usize) -> Self {
         SplitCols {
             parts: FlatCols::with_capacity(cols, entries),
             seg_len: take_u32(cols),
@@ -288,10 +290,10 @@ impl SplitCols {
 
     /// Assembles from prebuilt CSR parts, as both divides build them.
     /// Takes the raw offsets/data rather than a [`FlatCols`] because a
-    /// parts column
-    /// (segment half followed by host half) deliberately violates the
-    /// whole-column ordering invariant [`FlatCols::from_raw`] checks;
-    /// each *half* must be ascending (debug-checked below).
+    /// parts column (segment half followed by host half) deliberately
+    /// violates the whole-column ordering invariant
+    /// [`FlatCols::from_raw`] checks; each *half* must be ascending
+    /// (debug-checked below).
     pub(crate) fn from_raw(
         mut offsets: Vec<u32>,
         data: Vec<u32>,
