@@ -373,10 +373,13 @@ macro_rules! buf_pool {
             }
             .unwrap_or_default();
             v.clear();
-            // on the now-empty vector `reserve(cap)` guarantees
-            // `capacity >= cap`: the promise `FlatCols::with_capacity`
-            // makes and the divide's pre-sized writes rely on
-            v.reserve(cap);
+            // on the now-empty vector this guarantees `capacity >= cap`:
+            // the promise `FlatCols::with_capacity` makes and the
+            // divide's pre-sized writes rely on. Exact, because `reserve`
+            // would double a buffer that is just short, and as the pool
+            // hands the same buffers back, pooled capacity would ratchet
+            // up to twice the largest request.
+            v.reserve_exact(cap);
             v
         }
 
