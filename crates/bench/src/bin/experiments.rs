@@ -155,9 +155,9 @@ fn e3() {
     let host = std::thread::available_parallelism().map_or(1, |v| v.get());
     println!(
         "\nSelf-relative speedup, physically capped by min(threads, {host} hardware threads).\n\
-         Sibling recursion, the two-pass divide, the Case-2 fan-out and the merge span scan\n\
-         all run on the work-stealing pool (DESIGN.md §6); the remaining sequential parts\n\
-         (Tutte decompose + alignment funnel per combine) set the Amdahl ceiling."
+         Sibling recursion and the Case-2 component fan-out run on the work-stealing pool\n\
+         (DESIGN.md §6); every step inside a node (divide, Tutte decompose, alignment\n\
+         funnel, merge) is sequential, and the root's steps set the Amdahl ceiling."
     );
 }
 

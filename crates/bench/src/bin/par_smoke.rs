@@ -7,9 +7,11 @@
 //! Three checks, all fast enough for every-commit CI:
 //!
 //! 1. **Determinism sweep** — seeded planted + obstruction instances
-//!    solved at each requested thread count; verdict *and* witness
-//!    order must match the sequential solver exactly (any divergence
-//!    means a data race or a scheduling-dependent code path).
+//!    (n = 400–1900) solved at each requested thread count; verdict,
+//!    witness order or evidence, the `SolveStats` work counters and the
+//!    modelled cost must all match the sequential solver exactly. Both
+//!    run one recursion, so any divergence means a data race or a
+//!    scheduling-dependent code path.
 //! 2. **Speedup gate** — a short E3-style run measuring the 4-thread
 //!    self-relative speedup of `dc_parallel` at n=2^14, compared to the
 //!    `thread_sweep.speedup_floor_4t` recorded in `BENCH_solve.json`.
@@ -31,7 +33,9 @@
 use c1p_bench::workloads::planted;
 use c1p_bench::{fmt_secs, median_time};
 use c1p_core::stats::{PH_ALIGN, PH_DECOMPOSE};
+use c1p_core::SolveStats;
 use c1p_matrix::tucker;
+use c1p_pram::Cost;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -60,12 +64,21 @@ fn main() {
             },
             &mut rng,
         );
-        let expect = c1p_core::solve(&ens).expect("planted instance accepted");
+        let (expect, seq) = c1p_core::solve_with(&ens, &c1p_core::Config::default());
+        let expect = expect.expect("planted instance accepted");
         for &t in &threads {
-            let (got, _) = c1p_pram::with_threads(t, || c1p_core::parallel::solve_par(&ens));
+            let (got, stats) = c1p_pram::with_threads(t, || c1p_core::parallel::solve_par(&ens));
             checked += 1;
             if got.as_ref().ok() != Some(&expect) {
                 eprintln!("FAIL: accept seed {seed} n={n} t={t}: order diverged");
+                failures += 1;
+            }
+            if work(&stats) != work(&seq) {
+                eprintln!(
+                    "FAIL: accept seed {seed} n={n} t={t}: counters {:?} != sequential {:?}",
+                    work(&stats),
+                    work(&seq)
+                );
                 failures += 1;
             }
         }
@@ -75,10 +88,19 @@ fn main() {
             seed as usize,
             &[(0, n / 3), (n / 2, n / 3)],
         );
-        let expect_rej = c1p_core::solve(&bad).expect_err("obstruction rejected");
+        let (expect_rej, seq) = c1p_core::solve_with(&bad, &c1p_core::Config::default());
+        let expect_rej = expect_rej.expect_err("obstruction rejected");
         for &t in &threads {
-            let (got, _) = c1p_pram::with_threads(t, || c1p_core::parallel::solve_par(&bad));
+            let (got, stats) = c1p_pram::with_threads(t, || c1p_core::parallel::solve_par(&bad));
             checked += 1;
+            if work(&stats) != work(&seq) {
+                eprintln!(
+                    "FAIL: reject seed {seed} t={t}: counters {:?} != sequential {:?}",
+                    work(&stats),
+                    work(&seq)
+                );
+                failures += 1;
+            }
             match got {
                 Err(rej) if rej.atoms == expect_rej.atoms => {}
                 Err(_) => {
@@ -151,6 +173,24 @@ fn main() {
         std::process::exit(1);
     }
     println!("\npar_smoke: all checks passed");
+}
+
+/// The `SolveStats` work counters and the modelled cost: everything the
+/// parallel entries must share with the sequential one.
+fn work(s: &SolveStats) -> ([usize; 10], Cost) {
+    let counters = [
+        s.subproblems,
+        s.max_depth,
+        s.case1,
+        s.case2,
+        s.base_cases,
+        s.pq_base_cases,
+        s.decompositions,
+        s.members,
+        s.fast_merges,
+        s.csr_divides,
+    ];
+    (counters, s.cost)
 }
 
 /// Pulls `thread_sweep.speedup_floor_4t` out of BENCH_solve.json with a

@@ -5,7 +5,9 @@
 //! ```
 //!
 //! `reps` (default 1) solves the same instance that many times and
-//! reports the fastest run. `seed` (default 1) picks the instance,
+//! reports the fastest run, its allocations included: the first solve
+//! starts with empty buffer pools, so with `reps > 1` the reported solve
+//! is usually a warm one. `seed` (default 1) picks the instance,
 //! `planted(2^log2_n, seed)`: `phase_probe 14 3 262` probes the instance
 //! of `par_smoke`'s align-tail gate, one of whose sides decomposes into a
 //! large rigid member (DESIGN.md §14).
@@ -46,6 +48,38 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
+/// A reading of the allocation counters: blocks, bytes, and the
+/// size-class histogram.
+#[derive(Clone, Copy)]
+struct AllocCounts {
+    blocks: u64,
+    bytes: u64,
+    classes: [(u64, u64); 32],
+}
+
+impl AllocCounts {
+    fn now() -> Self {
+        AllocCounts {
+            blocks: ALLOCS.load(Ordering::Relaxed),
+            bytes: BYTES.load(Ordering::Relaxed),
+            classes: std::array::from_fn(|c| {
+                (CLASS_N[c].load(Ordering::Relaxed), CLASS_B[c].load(Ordering::Relaxed))
+            }),
+        }
+    }
+
+    /// What was allocated between `before` and this reading.
+    fn since(self, before: AllocCounts) -> Self {
+        AllocCounts {
+            blocks: self.blocks - before.blocks,
+            bytes: self.bytes - before.bytes,
+            classes: std::array::from_fn(|c| {
+                (self.classes[c].0 - before.classes[c].0, self.classes[c].1 - before.classes[c].1)
+            }),
+        }
+    }
+}
+
 fn main() {
     let log2_n: u32 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(14);
     let cfg = c1p_core::Config::default();
@@ -54,21 +88,21 @@ fn main() {
     let reps: usize = std::env::args().nth(2).and_then(|a| a.parse().ok()).unwrap_or(1).max(1);
     let seed: u64 = std::env::args().nth(3).and_then(|a| a.parse().ok()).unwrap_or(1);
     let ens = planted(1 << log2_n, seed);
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let b0 = BYTES.load(Ordering::Relaxed);
-    let t0 = std::time::Instant::now();
-    let (mut o, mut stats) = c1p_core::solve_with(&ens, &cfg);
-    let mut dt = t0.elapsed();
+    // each solve counts its own allocations
+    let solve_once = || {
+        let a0 = AllocCounts::now();
+        let t0 = std::time::Instant::now();
+        let (o, stats) = c1p_core::solve_with(&ens, &cfg);
+        let dt = t0.elapsed();
+        (o, stats, dt, AllocCounts::now().since(a0))
+    };
+    let (mut o, mut stats, mut dt, mut allocs) = solve_once();
     for _ in 1..reps {
-        let t = std::time::Instant::now();
-        let (oi, si) = c1p_core::solve_with(&ens, &cfg);
-        let di = t.elapsed();
+        let (oi, si, di, ai) = solve_once();
         if di < dt {
-            (o, stats, dt) = (oi, si, di);
+            (o, stats, dt, allocs) = (oi, si, di, ai);
         }
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
-    let bytes = BYTES.load(Ordering::Relaxed) - b0;
     eprintln!(
         "solve: {dt:?} ok={} subproblems={} depth={} decompositions={}",
         o.is_ok(),
@@ -80,10 +114,9 @@ fn main() {
         "case1={} case2={} fast_merges={} members={} divides={}",
         stats.case1, stats.case2, stats.fast_merges, stats.members, stats.csr_divides
     );
-    eprintln!("allocations: {allocs} ({:.1} MB total)", bytes as f64 / 1e6);
+    eprintln!("allocations: {} ({:.1} MB total)", allocs.blocks, allocs.bytes as f64 / 1e6);
     if std::env::var_os("PHASE_PROBE_ALLOC_HIST").is_some() {
-        for c in 0..32 {
-            let (n, b) = (CLASS_N[c].load(Ordering::Relaxed), CLASS_B[c].load(Ordering::Relaxed));
+        for (c, &(n, b)) in allocs.classes.iter().enumerate() {
             if n > 0 {
                 eprintln!("  ≤2^{c:<2} B: {n:>9} allocs {:>9.1} MB", b as f64 / 1e6);
             }

@@ -594,8 +594,8 @@ mod tests {
 
     #[test]
     fn from_raw_zero_columns() {
-        // the parallel divide can legitimately produce a 0-column side;
-        // both raw constructors must normalize empty offsets
+        // a divide can legitimately produce a 0-column side; both raw
+        // constructors must normalize empty offsets
         let fc = FlatCols::from_raw(Vec::new(), Vec::new());
         assert_eq!(fc.n_cols(), 0);
         let fc = FlatCols::from_raw(vec![0], Vec::new());

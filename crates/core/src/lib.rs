@@ -16,11 +16,11 @@
 //!
 //! The solver is exact: it returns a verified witness order for every C1P
 //! instance and an evidence-carrying [`Rejection`] otherwise. [`solve`] runs
-//! the sequential algorithm (Theorem 9: `O(p log p)`);
-//! [`parallel::solve_par`] runs the recursion on rayon with PRAM cost
-//! accounting (Theorem 9: `O(log² n)` modelled depth). The rejection's
-//! evidence atoms feed the `c1p-cert` crate, which shrinks them to a
-//! checkable Tucker witness.
+//! the recursion on the calling thread (Theorem 9: `O(p log p)`);
+//! [`parallel::solve_par`] runs the same recursion, forking its independent
+//! branches on rayon. Both compose the same modelled PRAM cost (Theorem 9:
+//! `O(log² n)` depth). The rejection's evidence atoms feed the `c1p-cert`
+//! crate, which shrinks them to a checkable Tucker witness.
 
 pub mod align;
 pub mod circular;

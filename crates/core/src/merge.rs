@@ -29,9 +29,7 @@ pub enum MergeMode {
 }
 
 /// Merges `seg` into `host` at a feasible split vertex. `seg` and `host`
-/// are sequences of subproblem-local atoms. Strictly sequential; the
-/// parallel driver reaches the chunk-parallel span scan through the
-/// crate-private `merge_with`.
+/// are sequences of subproblem-local atoms. Strictly sequential.
 ///
 /// Correctness layering: the candidate filter guarantees the type-a
 /// (containment) and type-c (non-interior) conditions; the per-candidate
@@ -45,20 +43,6 @@ pub fn merge(
     columns: &SplitCols,
     mode: MergeMode,
 ) -> Result<Vec<u32>, NotC1p> {
-    merge_with(seg, host, columns, mode, false)
-}
-
-/// [`merge`] with scheduling control: `par` permits the span scan to
-/// fork onto the current pool (set only by the parallel driver — the
-/// sequential solver must never spawn onto the global pool behind the
-/// caller's back).
-pub(crate) fn merge_with(
-    seg: &[u32],
-    host: &[u32],
-    columns: &SplitCols,
-    mode: MergeMode,
-    par: bool,
-) -> Result<Vec<u32>, NotC1p> {
     let n = seg.len() + host.len();
     with_scratch(n, |s| {
         // host positions in s.pos, segment positions in s.place; the
@@ -71,7 +55,7 @@ pub(crate) fn merge_with(
             place[a as usize] = i as u32;
         }
         let bufs = MergeBufs { type_b, type_a, type_c, cand, forbidden };
-        let out = merge_inner(seg, host, columns, mode, pos, place, bufs, par);
+        let out = merge_inner(seg, host, columns, mode, pos, place, bufs);
         for &a in host {
             pos[a as usize] = u32::MAX;
         }
@@ -114,7 +98,6 @@ fn span_of(pos: &[u32], atoms: &[u32]) -> Option<(u32, u32)> {
     Some((lo, hi + 1))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn merge_inner(
     seg: &[u32],
     host: &[u32],
@@ -123,11 +106,10 @@ fn merge_inner(
     host_pos: &[u32],
     seg_pos: &[u32],
     bufs: MergeBufs<'_>,
-    par: bool,
 ) -> Result<Vec<u32>, NotC1p> {
     let hn = host.len();
     let MergeBufs { type_b, type_a: type_a_spans, type_c: type_c_spans, cand, forbidden } = bufs;
-    classify_spans_into(columns, host_pos, par, type_b, type_a_spans, type_c_spans);
+    classify_spans_into(columns, host_pos, type_b, type_a_spans, type_c_spans);
     let (type_b, type_a_spans, type_c_spans) = (&*type_b, &*type_a_spans, &*type_c_spans);
     // On the cycle, split vertices 0 and hn coincide (the glue point).
     let alt = |w: u32| -> Option<u32> {
@@ -232,96 +214,34 @@ fn merge_inner(
             return Ok(merged);
         }
     }
-    if std::env::var_os("C1P_TRACE").is_some() {
-        eprintln!("merge failed ({mode:?}): seg={seg:?} host={host:?}");
-        eprintln!("  candidates={candidates:?}");
-        eprintln!("  type_b={type_b:?} type_a={type_a_spans:?} type_c={type_c_spans:?}");
-    }
     Err(NotC1p::at(RejectSite::Merge))
 }
 
-/// Entry weight above which the span scan forks (the scan is `O(p)`;
-/// below this the fork overhead outweighs the chunked walk).
-const PAR_SPAN_MIN_ENTRIES: usize = 1 << 14;
-
-type SpanClasses = (Vec<(usize, u32, u32)>, Vec<(u32, u32)>, Vec<(u32, u32)>);
-
 /// Computes host spans per crossing/type-c column into the pooled output
 /// vectors (cleared first) — the paper's "common intersection of all the
-/// crossing columns" prefix scan. Heavy merges (top of the recursion)
-/// walk the columns chunk-parallel when `par` permits it (parallel
-/// driver only): halves classify independently, then concatenate in
-/// column order, so the result is bit-identical to the sequential scan.
+/// crossing columns" prefix scan, walked in column order.
 fn classify_spans_into(
     columns: &SplitCols,
     host_pos: &[u32],
-    par: bool,
     type_b: &mut Vec<(usize, u32, u32)>,
     type_a: &mut Vec<(u32, u32)>,
     type_c: &mut Vec<(u32, u32)>,
 ) {
-    fn go(
-        columns: &SplitCols,
-        host_pos: &[u32],
-        range: std::ops::Range<usize>,
-        par: bool,
-        out: &mut SpanClasses,
-    ) {
-        // the O(range) weight sum only runs once forking is even on the
-        // table (never for the sequential solver's merges)
-        if par
-            && range.len() > 1
-            && rayon::current_num_threads() > 1
-            && range.clone().map(|ci| columns.host(ci).len()).sum::<usize>() >= PAR_SPAN_MIN_ENTRIES
-        {
-            let mid = range.start + range.len() / 2;
-            let (left, right) = rayon::join(
-                || {
-                    let mut l = SpanClasses::default();
-                    go(columns, host_pos, range.start..mid, par, &mut l);
-                    l
-                },
-                || {
-                    let mut r = SpanClasses::default();
-                    go(columns, host_pos, mid..range.end, par, &mut r);
-                    r
-                },
-            );
-            out.0.extend(left.0);
-            out.1.extend(left.1);
-            out.2.extend(left.2);
-            out.0.extend(right.0);
-            out.1.extend(right.1);
-            out.2.extend(right.2);
-            return;
-        }
-        for ci in range {
-            let host_part = columns.host(ci);
-            let Some((x, y)) = span_of(host_pos, host_part) else { continue };
-            match columns.ty(ci) {
-                CrossType::B => out.0.push((ci, x, y)),
-                CrossType::A => out.1.push((x, y)),
-                CrossType::C => {
-                    if host_part.len() >= 2 {
-                        out.2.push((x, y));
-                    }
-                }
-            }
-        }
-    }
     type_b.clear();
     type_a.clear();
     type_c.clear();
-    if par {
-        let mut out = SpanClasses::default();
-        go(columns, host_pos, 0..columns.len(), par, &mut out);
-        type_b.extend(out.0);
-        type_a.extend(out.1);
-        type_c.extend(out.2);
-    } else {
-        let mut out = (std::mem::take(type_b), std::mem::take(type_a), std::mem::take(type_c));
-        go(columns, host_pos, 0..columns.len(), par, &mut out);
-        (*type_b, *type_a, *type_c) = out;
+    for ci in 0..columns.len() {
+        let host_part = columns.host(ci);
+        let Some((x, y)) = span_of(host_pos, host_part) else { continue };
+        match columns.ty(ci) {
+            CrossType::B => type_b.push((ci, x, y)),
+            CrossType::A => type_a.push((x, y)),
+            CrossType::C => {
+                if host_part.len() >= 2 {
+                    type_c.push((x, y));
+                }
+            }
+        }
     }
 }
 

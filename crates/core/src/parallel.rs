@@ -1,53 +1,34 @@
-//! The parallel driver (paper Section 5 / Theorem 9).
+//! The parallel entries (paper Section 5 / Theorem 9).
 //!
 //! The recursion tree of `Path-Realization` has `O(log n)` depth with
-//! independent siblings, so the two recursive calls run under
-//! `rayon::join`; within a level the divide and combine steps use the
-//! PRAM primitives of `c1p-pram` where data sizes warrant it. Divide
-//! data lives in flat CSR arenas with per-thread scratch pools
-//! ([`crate::flat`]) — rayon work-stealing composes with the pools
-//! because every worker draws from its own thread-local pool.
+//! independent siblings. [`solve_par`] and [`solve_component_par`] run
+//! the one recursion of [`crate::solver`] under a fork policy resolved
+//! here (`Sched`): near the root, the two children of a divide and the
+//! components of a Case-2 growth run under `rayon::join`; below the
+//! cutoff and the fork depth, and on a 1-thread pool, a subtree runs on
+//! its thread exactly as the sequential entries run it. The steps inside
+//! a node are sequential. Divide data lives in flat CSR arenas with
+//! per-thread scratch pools ([`crate::flat`]) — rayon work-stealing
+//! composes with the pools because every worker draws from its own
+//! thread-local pool.
 //!
-//! Alongside wall-clock execution the driver composes a **modelled PRAM
-//! cost** ([`c1p_pram::Cost`]): sequential steps add work and depth,
-//! sibling recursions join with `Cost::par` (work adds, depth maxes).
-//! Per-step charges follow the paper's Section 5 accounting:
-//!
-//! * divide (transform, connected growth): `O(p)` work, `O(log n)` depth
-//!   (tree contraction \[16\] / hooking);
-//! * Tutte decomposition: `O((n+m) log log n)` work, `O(log n)` depth
-//!   (Fussell–Ramachandran–Thurimella \[10\] — see DESIGN.md §4: we run the
-//!   specialised decomposition and charge the cited bound);
-//! * type identification: `O(p)` work, `O(1)` depth;
-//! * minimal decomposition + switches: `O(n+m)` work, `O(log n)` depth
-//!   (Euler tours \[17\]);
-//! * merge scan: `O(p)` work, `O(log n)` depth (prefix scan).
-//!
-//! Experiment E2 checks the composed totals against Theorem 9's
-//! `O(log² n)` time and `p log log n / log n` processor bounds.
+//! Verdicts, orders, evidence, the `SolveStats` work counters and the
+//! modelled PRAM cost are those of [`crate::solve_with`] on every input
+//! and at every thread count (`tests/par_determinism.rs`); only the phase
+//! timings depend on the pool. The per-node cost charges are listed in
+//! the [`crate::solver`] module docs.
 
-use crate::merge::MergeMode;
-use crate::partition::{grow_segment, proper_column, tucker_transform, Growth};
-use crate::solver::{
-    combine, component_sub, cut_at_r, prepare_split, prepare_split_par, realize, SubProblem,
-};
+use crate::solver::{component_realized, solve_components};
 use crate::stats::SolveStats;
-use crate::{Config, NotC1p, Rejection};
-use c1p_matrix::{verify_linear, Atom, Ensemble};
+use crate::{Config, Rejection};
+use c1p_matrix::{Atom, Ensemble};
 use c1p_pram::cost::log2ceil;
-use c1p_pram::Cost;
 
-/// Subproblems whose CSR arena holds at least this many entries run the
-/// two-pass parallel divide ([`prepare_split_par`]); lighter ones use
-/// the single sequential scan (the parallel version's extra pass and
-/// task overhead only amortize on heavy levels).
-const PAR_DIVIDE_MIN_ENTRIES: usize = 1 << 14;
-
-/// Resolved scheduling parameters for one driver run (ISSUE 3's
-/// depth- and size-adaptive granularity control).
+/// The fork policy of one solve: where the recursion may run independent
+/// branches under `rayon::join`, adapted to subproblem size and depth.
 #[derive(Debug, Clone, Copy)]
-struct Sched {
-    /// Subproblems at or below this many atoms run sequentially.
+pub(crate) struct Sched {
+    /// Subproblems at or below this many atoms do not fork.
     seq_cutoff: usize,
     /// Recursion depth at or beyond which no new tasks are forked: by
     /// depth `d` the tree already exposes `~2^d` independent branches,
@@ -57,11 +38,13 @@ struct Sched {
 }
 
 impl Sched {
+    /// The policy of the sequential entries: never fork.
+    pub(crate) const NEVER: Sched = Sched { seq_cutoff: usize::MAX, fork_depth: 0 };
+
     /// Resolves the knobs against the current pool. With
     /// [`Config::AUTO_CUTOFF`] the cutoff targets ~8 leaf tasks per
     /// worker (steal balance without task spam); an explicit cutoff is
-    /// honored verbatim. A single-thread pool short-circuits the whole
-    /// driver to the sequential solver.
+    /// honored verbatim. A single-thread pool never forks.
     fn resolve(cfg: &Config, n_root: usize) -> Sched {
         let threads = rayon::current_num_threads();
         let seq_cutoff = if cfg.seq_cutoff == Config::AUTO_CUTOFF {
@@ -77,9 +60,10 @@ impl Sched {
         Sched { seq_cutoff, fork_depth }
     }
 
-    /// May this recursion level still fork new tasks?
-    fn may_fork(&self, depth: usize) -> bool {
-        depth < self.fork_depth
+    /// May a subproblem (or a run of Case-2 components) of `k` atoms at
+    /// recursion depth `depth` fork?
+    pub(crate) fn forks(&self, k: usize, depth: usize) -> bool {
+        depth < self.fork_depth && k > self.seq_cutoff
     }
 }
 
@@ -88,39 +72,15 @@ impl Sched {
 /// whose `cost` field carries the modelled PRAM work/depth.
 ///
 /// Subproblems at or below the resolved sequential cutoff (see
-/// [`Config::seq_cutoff`]) run sequentially — task overhead dominates
-/// below it; the modelled cost still accounts them.
+/// [`Config::seq_cutoff`]) do not fork — task overhead dominates below
+/// it. Everything but the phase timings equals [`crate::solve_with`]'s.
 pub fn solve_par(ens: &Ensemble) -> (Result<Vec<Atom>, Rejection>, SolveStats) {
     solve_par_with(ens, &Config::default())
 }
 
 /// [`solve_par`] with configuration.
 pub fn solve_par_with(ens: &Ensemble, cfg: &Config) -> (Result<Vec<Atom>, Rejection>, SolveStats) {
-    let sched = Sched::resolve(cfg, ens.n_atoms());
-    let mut stats = SolveStats::default();
-    let mut order: Vec<Atom> = Vec::with_capacity(ens.n_atoms());
-    let mut cost = Cost::ZERO;
-    for (atoms, col_ids) in ens.components() {
-        let sub = component_sub(
-            &atoms,
-            col_ids.iter().map(|&ci| ens.column(ci as usize)).filter(|c| c.len() >= 2),
-        );
-        match realize_par(&sub, cfg, &sched, 0) {
-            Ok((local, branch_stats, branch_cost)) => {
-                stats.absorb(&branch_stats);
-                cost = cost.par(branch_cost); // components are independent
-                order.extend(local.iter().map(|&i| atoms[i as usize]));
-            }
-            Err(rej) => {
-                stats.cost = cost;
-                // component-local evidence → global atom ids
-                return (Err(rej.fill(sub.n).mapped(&atoms)), stats);
-            }
-        }
-    }
-    stats.cost = cost;
-    verify_linear(ens, &order).expect("internal error: parallel order failed verification");
-    (Ok(order), stats)
+    solve_components(ens, cfg, &Sched::resolve(cfg, ens.n_atoms()))
 }
 
 /// The parallel twin of [`crate::solver::solve_component`]: realizes one
@@ -137,144 +97,7 @@ pub fn solve_component_par<'a>(
     cfg: &Config,
 ) -> Result<Vec<Atom>, Rejection> {
     let sched = Sched::resolve(cfg, atoms.len());
-    let sub = component_sub(atoms, cols.filter(|c| c.len() >= 2));
-    match realize_par(&sub, cfg, &sched, 0) {
-        Ok((local, _, _)) => {
-            crate::solver::verify_spans(&sub, &local);
-            Ok(local.iter().map(|&i| atoms[i as usize]).collect())
-        }
-        Err(rej) => Err(rej.fill(sub.n).mapped(atoms)),
-    }
-}
-
-type ParResult = Result<(Vec<u32>, SolveStats, Cost), NotC1p>;
-
-fn realize_par(sub: &SubProblem, cfg: &Config, sched: &Sched, depth: usize) -> ParResult {
-    let mut stats = SolveStats::default();
-    let k = sub.n;
-    let p: usize = sub.cols.total_len();
-    let lg = log2ceil(k.max(2));
-    stats.max_depth = depth;
-    // base cases and sequential subtrees are counted by `realize` itself;
-    // only the forking path below counts its own subproblem
-    if k <= 2 || (cfg.pq_base_threshold > 0 && k <= cfg.pq_base_threshold) {
-        // base case; modelled as the paper's small-subproblem sequential run
-        let order = realize(sub, cfg, &mut stats, depth)?;
-        return Ok((order, stats, Cost::of((p + k) as u64, (p + k) as u64)));
-    }
-    if k <= sched.seq_cutoff || !sched.may_fork(depth) {
-        let order = realize(sub, cfg, &mut stats, depth)?;
-        // charge the modelled parallel cost of the subtree conservatively:
-        // O(p log k) work across O(log k) levels of O(log k)-depth steps
-        let cost = Cost::of((p.max(1) as u64) * lg.max(1), lg * lg.max(1));
-        return Ok((order, stats, cost));
-    }
-    stats.subproblems += 1;
-    let divide_cost = Cost::of(p.max(1) as u64, lg); // scan / transform / growth
-    if let Some(ci) = proper_column(sub) {
-        stats.case1 += 1;
-        let (order, cost) =
-            split_par(sub, sub.cols.col(ci), MergeMode::Linear, cfg, sched, depth, &mut stats)?;
-        Ok((order, stats, divide_cost.seq(cost)))
-    } else {
-        stats.case2 += 1;
-        let t = tucker_transform(sub);
-        // Transform boundary: evidence about the transformed instance is
-        // widened to this subproblem's whole atom set (see `realize`).
-        let (cyclic, cost) = match grow_segment(&t) {
-            Growth::Segment(a1) => {
-                split_par(&t, &a1, MergeMode::Cyclic, cfg, sched, depth, &mut stats)
-                    .map_err(|e| e.widened(k))?
-            }
-            Growth::Components(comps) => {
-                // independent components: fan out across the pool
-                let results = realize_comps_par(&comps, &t, cfg, sched, depth);
-                let mut order = Vec::with_capacity(t.n);
-                let mut cost = Cost::ZERO;
-                for ((atoms, _), res) in comps.iter().zip(results) {
-                    let (local, bstats, bcost) = res.map_err(|e| e.widened(k))?;
-                    stats.absorb(&bstats);
-                    cost = cost.par(bcost);
-                    order.extend(local.iter().map(|&i| atoms[i as usize]));
-                }
-                (order, cost)
-            }
-        };
-        let order = cut_at_r(&cyclic, k);
-        Ok((order, stats, divide_cost.seq(cost).seq(Cost::of(k as u64, 1))))
-    }
-}
-
-/// Case-2 fan-out: realizes every independent component of the
-/// transformed instance, forking the component list in halves (larger
-/// components migrate to idle workers via stealing). Results stay in
-/// component order.
-fn realize_comps_par(
-    comps: &[(Vec<u32>, Vec<u32>)],
-    t: &SubProblem,
-    cfg: &Config,
-    sched: &Sched,
-    depth: usize,
-) -> Vec<ParResult> {
-    if comps.len() <= 1 || !sched.may_fork(depth) {
-        return comps
-            .iter()
-            .map(|(atoms, col_ids)| {
-                let csub = component_sub(atoms, col_ids.iter().map(|&ci| t.cols.col(ci as usize)));
-                realize_par(&csub, cfg, sched, depth + 1)
-            })
-            .collect();
-    }
-    let mid = comps.len() / 2;
-    let (mut left, right) = rayon::join(
-        || realize_comps_par(&comps[..mid], t, cfg, sched, depth + 1),
-        || realize_comps_par(&comps[mid..], t, cfg, sched, depth + 1),
-    );
-    left.extend(right);
-    left
-}
-
-#[allow(clippy::too_many_arguments)]
-fn split_par(
-    sub: &SubProblem,
-    a1: &[u32],
-    mode: MergeMode,
-    cfg: &Config,
-    sched: &Sched,
-    depth: usize,
-    stats: &mut SolveStats,
-) -> Result<(Vec<u32>, Cost), NotC1p> {
-    // the divide itself runs parallel on heavy levels (top of the tree)
-    stats.csr_divides += 1;
-    let data = if sub.cols.total_len() >= PAR_DIVIDE_MIN_ENTRIES && rayon::current_num_threads() > 1
-    {
-        prepare_split_par(sub, a1)
-    } else {
-        prepare_split(sub, a1)
-    };
-    let (r1, r2) = rayon::join(
-        || realize_par(&data.sub1, cfg, sched, depth + 1),
-        || realize_par(&data.sub2, cfg, sched, depth + 1),
-    );
-    // child-local evidence → this subproblem's coordinates (see
-    // `split_and_merge` in solver.rs for why the mapping stays valid)
-    let (order1, s1, c1) = r1.map_err(|e| e.fill(data.sub1.n).mapped(&data.a1))?;
-    let (order2, s2, c2) = r2.map_err(|e| e.fill(data.sub2.n).mapped(&data.a2))?;
-    stats.absorb(&s1);
-    stats.absorb(&s2);
-    let order = combine(&data, &order1, &order2, mode, stats, true).map_err(|e| e.fill(sub.n))?;
-    let k = sub.n;
-    let m = sub.cols.n_cols();
-    let p: usize = sub.cols.total_len();
-    let lg = log2ceil(k.max(2));
-    let lglg = log2ceil(lg as usize).max(1);
-    // combine charges per Section 5 (decompose [10], types, switches [17],
-    // merge scan)
-    let combine_cost = Cost::of(((k + m) as u64) * lglg, lg) // Step 3
-        .seq(Cost::step(p.max(1) as u64)) // Step 4
-        .seq(Cost::of((k + m) as u64, lg)) // Steps 5–6
-        .seq(Cost::of(p.max(1) as u64, lg)); // Step 7
-    Ok((order, c1.par(c2).seq(combine_cost)))
+    component_realized(atoms, cols, cfg, &sched, &mut SolveStats::default(), true)
 }
 
 #[cfg(test)]

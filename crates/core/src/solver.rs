@@ -1,4 +1,4 @@
-//! `Path-Realization` (paper Fig. 3): the main divide-and-conquer solver.
+//! `Path-Realization` (paper Fig. 3): the divide-and-conquer solver.
 //!
 //! Steps per recursive call (numbering as in the paper):
 //!
@@ -14,6 +14,30 @@
 //! * **Step 7** — merge at a feasible split vertex ([`crate::merge`]);
 //!   Case 2 additionally cuts the merged cycle at the transform atom `r`.
 //!
+//! `realize` is the one recursive procedure behind every entry. It forks
+//! at two points only, the two children of a divide and the components
+//! of a Case-2 growth, and only where the fork policy (`parallel::Sched`)
+//! allows: [`solve_with`] and [`solve_component`] never fork, while the
+//! entries in [`crate::parallel`] fork near the root. Every node composes
+//! its [`SolveStats`] counters and its modelled PRAM [`Cost`] the same way
+//! under either policy, so both are independent of the pool. The per-node
+//! charges follow the paper's Section 5:
+//!
+//! * divide (proper column or transform + growth): `O(p)` work,
+//!   `O(log n)` depth (tree contraction \[16\] / hooking);
+//! * Tutte decomposition: `O((n+m) log log n)` work, `O(log n)` depth
+//!   (Fussell–Ramachandran–Thurimella \[10\]; DESIGN.md §4: we run the
+//!   specialised decomposition and charge the cited bound);
+//! * type identification: `O(p)` work, `O(1)` depth;
+//! * minimal decomposition + switches: `O(n+m)` work, `O(log n)` depth
+//!   (Euler tours \[17\]);
+//! * merge scan: `O(p)` work, `O(log n)` depth (prefix scan);
+//! * a base case: `O(p + k)` work and depth (a sequential run).
+//!
+//! Sibling subtrees join with `Cost::par` (work adds, depth maxes).
+//! Experiment E2 checks the composed totals against Theorem 9's
+//! `O(log² n)` time and `p log log n / log n` processor bounds.
+//!
 //! Subproblem columns live in flat CSR arenas ([`FlatCols`], DESIGN.md
 //! §3): the divide is one branch-free pass over the entries, driven by a
 //! per-thread [`Scratch`](crate::flat::Scratch) table, with no
@@ -22,11 +46,14 @@
 
 use crate::align::{align_host_cyclic, align_side1, align_side2, Aligned, ChordInfo, CrossType};
 use crate::flat::{take_ty, take_u32, with_scratch, FlatCols, SplitCols};
-use crate::merge::{merge_with, MergeMode};
+use crate::merge::{merge, MergeMode};
+use crate::parallel::Sched;
 use crate::partition::{grow_segment, proper_column, tucker_transform, Growth};
 use crate::stats::{SolveStats, PH_ALIGN, PH_DECOMPOSE, PH_MERGE, PH_PARTITION, PH_PREPARE};
 use crate::{NotC1p, RejectSite, Rejection};
 use c1p_matrix::{verify_linear, Atom, Ensemble};
+use c1p_pram::cost::log2ceil;
+use c1p_pram::Cost;
 use c1p_tutte::TutteTree;
 
 // Per-solve phase timing: two `Instant::now()` reads around the phase
@@ -80,14 +107,14 @@ pub struct Config {
     /// Verify every intermediate realization (O(p log n) extra work);
     /// always on in debug builds.
     pub paranoid: bool,
-    /// Parallel driver only: subproblems at or below this many atoms run
-    /// sequentially (task overhead dominates below it). The modelled
-    /// PRAM cost still accounts them. `0` removes the size cutoff —
-    /// though the scheduler's fork-depth limit (`log2(threads) + 2`;
-    /// see `parallel::Sched`) still hands saturated subtrees to the
-    /// sequential solver. [`Config::AUTO_CUTOFF`] (the default) sizes
-    /// the cutoff from the instance and the current pool at driver
-    /// entry.
+    /// Parallel entries only: subproblems at or below this many atoms
+    /// do not fork their children (task overhead dominates below it).
+    /// `0` removes the size cutoff — though the scheduler's fork-depth
+    /// limit (`log2(threads) + 2`; see `parallel::Sched`) still stops
+    /// forking once the tree saturates the pool. [`Config::AUTO_CUTOFF`]
+    /// (the default) sizes the cutoff from the instance and the current
+    /// pool at entry. The sequential entries never fork, and no counter
+    /// or modelled cost depends on this knob.
     pub seq_cutoff: usize,
 }
 
@@ -120,17 +147,29 @@ pub fn solve(ens: &Ensemble) -> Result<Vec<Atom>, Rejection> {
     solve_with(ens, &Config::default()).0
 }
 
-/// [`solve`] with explicit configuration; also returns run statistics.
+/// [`solve`] with explicit configuration; also returns run statistics,
+/// including the modelled PRAM cost. Runs on the calling thread: it
+/// never forks onto a rayon pool.
 pub fn solve_with(ens: &Ensemble, cfg: &Config) -> (Result<Vec<Atom>, Rejection>, SolveStats) {
+    solve_components(ens, cfg, &Sched::NEVER)
+}
+
+/// The component loop of every whole-ensemble entry: solves each
+/// connected component independently, in order, and concatenates
+/// (isolated atoms ride along as singleton components). The first
+/// rejection ends the solve.
+pub(crate) fn solve_components(
+    ens: &Ensemble,
+    cfg: &Config,
+    sched: &Sched,
+) -> (Result<Vec<Atom>, Rejection>, SolveStats) {
     let mut stats = SolveStats::default();
     let mut order: Vec<Atom> = Vec::with_capacity(ens.n_atoms());
-    // Solve each connected component independently and concatenate
-    // (isolated atoms ride along as singleton components).
     for (atoms, col_ids) in ens.components() {
         let cols = col_ids.iter().map(|&ci| ens.column(ci as usize));
         // fragment verification deferred: the whole-order verify_linear
         // below covers every component in one pass
-        match component_realized(&atoms, cols, cfg, &mut stats, false) {
+        match component_realized(&atoms, cols, cfg, sched, &mut stats, false) {
             Ok(part) => order.extend(part),
             Err(rej) => return (Err(rej), stats),
         }
@@ -151,29 +190,32 @@ pub fn solve_with(ens: &Ensemble, cfg: &Config) -> (Result<Vec<Atom>, Rejection>
 /// (`c1p-incremental`) calls it per re-solved component, so a differential
 /// re-solve is bit-identical to a from-scratch [`solve`] by construction,
 /// not by test alone. The returned fragment is span-verified against the
-/// component's own columns before it is handed out.
+/// component's own columns before it is handed out. Never forks.
 pub fn solve_component<'a>(
     atoms: &[Atom],
     cols: impl Iterator<Item = &'a [Atom]>,
     cfg: &Config,
 ) -> Result<Vec<Atom>, Rejection> {
-    component_realized(atoms, cols, cfg, &mut SolveStats::default(), true)
+    component_realized(atoms, cols, cfg, &Sched::NEVER, &mut SolveStats::default(), true)
 }
 
-/// [`solve_component`] with the caller's statistics threaded through and
-/// fragment verification made optional: external entries always verify
-/// (their callers splice the fragment unseen), while [`solve_with`] skips
-/// it — its whole-order `verify_linear` already covers every component.
-fn component_realized<'a>(
+/// One component under the fork policy `sched`, with the caller's
+/// statistics threaded through and fragment verification made optional:
+/// external entries always verify (their callers splice the fragment
+/// unseen), while [`solve_components`] skips it — its whole-order
+/// `verify_linear` already covers every component.
+pub(crate) fn component_realized<'a>(
     atoms: &[Atom],
     cols: impl Iterator<Item = &'a [Atom]>,
     cfg: &Config,
+    sched: &Sched,
     stats: &mut SolveStats,
     verify_fragment: bool,
 ) -> Result<Vec<Atom>, Rejection> {
     let sub = build_sub(atoms, cols);
-    match realize(&sub, cfg, stats, 0) {
-        Ok(local) => {
+    match realize(&sub, cfg, sched, stats, 0) {
+        Ok((local, cost)) => {
+            stats.cost = stats.cost.par(cost); // components are independent
             if verify_fragment {
                 verify_spans(&sub, &local);
             }
@@ -184,51 +226,21 @@ fn component_realized<'a>(
     }
 }
 
-/// Re-indexes global columns onto a local atom set. `atoms` and each
-/// column must be sorted ascending (the [`Ensemble`] invariant), so the
-/// local columns come out sorted without re-sorting.
-fn build_sub<'a>(atoms: &[Atom], cols: impl Iterator<Item = &'a [Atom]>) -> SubProblem {
+/// Re-indexes columns onto a local atom set: a connected component of an
+/// ensemble, or of a transformed subproblem. `atoms` and each column must
+/// be sorted ascending (the [`Ensemble`] invariant) and every column must
+/// lie inside `atoms`, so the local columns come out sorted without
+/// re-sorting. Columns below two atoms are dropped.
+fn build_sub<'a>(atoms: &[u32], cols: impl Iterator<Item = &'a [u32]>) -> SubProblem {
     let max = atoms.iter().copied().max().map_or(0, |m| m as usize + 1);
     with_scratch(max, |s| {
         for (i, &a) in atoms.iter().enumerate() {
             s.place[a as usize] = i as u32;
         }
         let mut out = FlatCols::new();
-        for col in cols {
-            for &a in col {
-                let p = s.place[a as usize];
-                if p != u32::MAX {
-                    out.push(p);
-                }
-            }
-            if out.building_len() >= 2 {
-                out.finish_col();
-            } else {
-                out.cancel_col();
-            }
-        }
-        for &a in atoms {
-            s.place[a as usize] = u32::MAX;
-        }
-        SubProblem { n: atoms.len(), cols: out }
-    })
-}
-
-/// Re-indexes the columns of a transformed subproblem onto one connected
-/// component's (sorted) atom set.
-pub(crate) fn component_sub<'a>(
-    atoms: &[u32],
-    cols: impl Iterator<Item = &'a [u32]>,
-) -> SubProblem {
-    let max = atoms.iter().copied().max().map_or(0, |m| m as usize + 1);
-    with_scratch(max, |s| {
-        for (i, &a) in atoms.iter().enumerate() {
-            s.place[a as usize] = i as u32;
-        }
-        let mut out = FlatCols::new();
-        for col in cols {
+        for col in cols.filter(|c| c.len() >= 2) {
             out.push_col(col.iter().map(|&a| {
-                debug_assert_ne!(s.place[a as usize], u32::MAX, "column atom in component");
+                debug_assert_ne!(s.place[a as usize], u32::MAX, "column atom in the atom set");
                 s.place[a as usize]
             }));
         }
@@ -239,85 +251,168 @@ pub(crate) fn component_sub<'a>(
     })
 }
 
-/// The recursive Path-Realization procedure. Returns an order of the local
-/// atoms realizing all columns.
+/// The recursive Path-Realization procedure: an order of the local atoms
+/// realizing all columns, and the modelled PRAM cost of the subtree.
+/// Counters and phase times accumulate into `stats`; `sched` decides
+/// where the independent branches run under `rayon::join`.
 pub(crate) fn realize(
     sub: &SubProblem,
     cfg: &Config,
+    sched: &Sched,
     stats: &mut SolveStats,
     depth: usize,
-) -> Result<Vec<u32>, NotC1p> {
+) -> Result<(Vec<u32>, Cost), NotC1p> {
     stats.subproblems += 1;
     stats.max_depth = stats.max_depth.max(depth);
     let k = sub.n;
+    let p = sub.cols.total_len();
+    // a base case is modelled as the paper's small-subproblem sequential run
+    let base_cost = Cost::of((p + k) as u64, (p + k) as u64);
     // Step 0
     if k <= 2 {
         stats.base_cases += 1;
-        return Ok((0..k as u32).collect());
+        return Ok(((0..k as u32).collect(), base_cost));
     }
     if cfg.pq_base_threshold > 0 && k <= cfg.pq_base_threshold {
         stats.pq_base_cases += 1;
-        return c1p_pqtree::solve(k, &sub.cols)
-            .ok_or_else(|| Rejection::at(RejectSite::PqBase).fill(k));
+        let order = c1p_pqtree::solve(k, &sub.cols)
+            .ok_or_else(|| Rejection::at(RejectSite::PqBase).fill(k))?;
+        return Ok((order, base_cost));
     }
-    // Step 2: the divide
+    // Step 2: the divide (scan / transform / growth)
+    let divide_cost = Cost::of(p.max(1) as u64, log2ceil(k));
     if let Some(ci) = phase!(stats, PH_PARTITION, proper_column(sub)) {
         stats.case1 += 1;
-        split_and_merge(sub, sub.cols.col(ci), MergeMode::Linear, cfg, stats, depth)
+        let (order, cost) =
+            split_and_merge(sub, sub.cols.col(ci), MergeMode::Linear, cfg, sched, stats, depth)?;
+        Ok((order, divide_cost.seq(cost)))
     } else {
         stats.case2 += 1;
         let t = phase!(stats, PH_PARTITION, tucker_transform(sub));
         // Failures inside the transformed instance cannot be mapped back
         // atom-by-atom (complemented columns, extra atom r): widen the
         // evidence to this subproblem's whole atom set.
-        let cyclic = match phase!(stats, PH_PARTITION, grow_segment(&t)) {
-            Growth::Segment(a1) => split_and_merge(&t, &a1, MergeMode::Cyclic, cfg, stats, depth)
-                .map_err(|e| e.widened(k))?,
-            Growth::Components(comps) => {
-                // trivially decomposes: concatenate independent solutions
-                let mut order = Vec::with_capacity(t.n);
-                for (atoms, col_ids) in comps {
-                    let csub =
-                        component_sub(&atoms, col_ids.iter().map(|&ci| t.cols.col(ci as usize)));
-                    let local = realize(&csub, cfg, stats, depth + 1).map_err(|e| e.widened(k))?;
-                    order.extend(local.iter().map(|&i| atoms[i as usize]));
-                }
-                order
+        let (cyclic, cost) = match phase!(stats, PH_PARTITION, grow_segment(&t)) {
+            Growth::Segment(a1) => {
+                split_and_merge(&t, &a1, MergeMode::Cyclic, cfg, sched, stats, depth)
             }
-        };
+            // trivially decomposes: concatenate independent solutions
+            Growth::Components(comps) => realize_comps(&t, &comps, cfg, sched, stats, depth, depth),
+        }
+        .map_err(|e| e.widened(k))?;
         // cut the cycle at r = k (paper Step 7 Case 2)
         let order = cut_at_r(&cyclic, k);
         if cfg.paranoid {
             verify_spans(sub, &order);
         }
-        Ok(order)
+        Ok((order, divide_cost.seq(cost).seq(Cost::of(k as u64, 1))))
     }
 }
 
-/// Shared Case-1/Case-2 body: split on `a1`, recurse, align, merge.
+/// Shared Case-1/Case-2 body: split on `a1`, recurse (a fork point),
+/// align, merge.
 fn split_and_merge(
     sub: &SubProblem,
     a1: &[u32],
     mode: MergeMode,
     cfg: &Config,
+    sched: &Sched,
     stats: &mut SolveStats,
     depth: usize,
-) -> Result<Vec<u32>, NotC1p> {
+) -> Result<(Vec<u32>, Cost), NotC1p> {
     stats.csr_divides += 1;
     let data = phase!(stats, PH_PREPARE, prepare_split(sub, a1));
     // Child evidence (child-local atoms with a non-C1P restriction) maps
     // injectively into this subproblem; each child is a constraint
     // restriction of it, so the mapped evidence stays valid.
-    let order1 = realize(&data.sub1, cfg, stats, depth + 1)
-        .map_err(|e| e.fill(data.sub1.n).mapped(&data.a1))?;
-    let order2 = realize(&data.sub2, cfg, stats, depth + 1)
-        .map_err(|e| e.fill(data.sub2.n).mapped(&data.a2))?;
+    let child = |side: &SubProblem, atoms: &[u32], stats: &mut SolveStats| {
+        realize(side, cfg, sched, stats, depth + 1).map_err(|e| e.fill(side.n).mapped(atoms))
+    };
+    let ((order1, cost1), (order2, cost2)) = join(
+        sched.forks(sub.n, depth),
+        stats,
+        |s| child(&data.sub1, &data.a1, s),
+        |s| child(&data.sub2, &data.a2, s),
+    )?;
     // A merge failure implicates the whole subproblem.
-    combine(&data, &order1, &order2, mode, stats, false).map_err(|e| e.fill(sub.n))
+    let order = combine(&data, &order1, &order2, mode, stats).map_err(|e| e.fill(sub.n))?;
+    Ok((order, cost1.par(cost2).seq(combine_cost(sub))))
 }
 
-/// Everything the combine step needs, precomputed before recursion
-/// (shared between the sequential and the parallel drivers).
+/// The independent components of a Case-2 growth over the transformed
+/// instance `t`, realized in order at `depth + 1` and concatenated (a
+/// fork point). Where `sched` allows, the list forks in halves, and
+/// `level` counts those halvings from `depth` on; the larger components
+/// then migrate to idle workers by stealing.
+fn realize_comps(
+    t: &SubProblem,
+    comps: &[(Vec<u32>, Vec<u32>)],
+    cfg: &Config,
+    sched: &Sched,
+    stats: &mut SolveStats,
+    depth: usize,
+    level: usize,
+) -> Result<(Vec<u32>, Cost), NotC1p> {
+    let n_atoms: usize = comps.iter().map(|(atoms, _)| atoms.len()).sum();
+    if comps.len() > 1 && sched.forks(n_atoms, level) {
+        let (left, right) = comps.split_at(comps.len() / 2);
+        let ((mut order, cost1), (order2, cost2)) = join(
+            true,
+            stats,
+            |s| realize_comps(t, left, cfg, sched, s, depth, level + 1),
+            |s| realize_comps(t, right, cfg, sched, s, depth, level + 1),
+        )?;
+        order.extend(order2);
+        return Ok((order, cost1.par(cost2)));
+    }
+    let mut order = Vec::with_capacity(n_atoms);
+    let mut cost = Cost::ZERO;
+    for (atoms, col_ids) in comps {
+        let csub = build_sub(atoms, col_ids.iter().map(|&ci| t.cols.col(ci as usize)));
+        let (local, c) = realize(&csub, cfg, sched, stats, depth + 1)?;
+        cost = cost.par(c);
+        order.extend(local.iter().map(|&i| atoms[i as usize]));
+    }
+    Ok((order, cost))
+}
+
+/// Runs two independent branches, under `rayon::join` when `fork` and
+/// otherwise in order on this thread. A forked branch counts into its own
+/// [`SolveStats`], absorbed where the sequential order would have run it:
+/// the second branch's only once the first succeeded. So the counters do
+/// not depend on the policy.
+fn join<A: Send, B: Send>(
+    fork: bool,
+    stats: &mut SolveStats,
+    first: impl FnOnce(&mut SolveStats) -> Result<A, NotC1p> + Send,
+    second: impl FnOnce(&mut SolveStats) -> Result<B, NotC1p> + Send,
+) -> Result<(A, B), NotC1p> {
+    if !fork {
+        let a = first(stats)?;
+        return Ok((a, second(stats)?));
+    }
+    let (mut s1, mut s2) = (SolveStats::default(), SolveStats::default());
+    let (a, b) = rayon::join(|| first(&mut s1), || second(&mut s2));
+    stats.absorb(&s1);
+    let a = a?;
+    stats.absorb(&s2);
+    Ok((a, b?))
+}
+
+/// The modelled cost of one combine, charged per Section 5: decompose
+/// \[10\] (Step 3), type identification (Step 4), minimal decomposition
+/// and switches \[17\] (Steps 5–6), merge scan (Step 7).
+fn combine_cost(sub: &SubProblem) -> Cost {
+    let (k, m, p) = (sub.n, sub.cols.n_cols(), sub.cols.total_len().max(1) as u64);
+    let lg = log2ceil(k);
+    let lglg = log2ceil(lg as usize).max(1);
+    Cost::of((k + m) as u64 * lglg, lg)
+        .seq(Cost::step(p))
+        .seq(Cost::of((k + m) as u64, lg))
+        .seq(Cost::of(p, lg))
+}
+
+/// Everything the combine step needs, precomputed before recursion.
 pub struct SplitData {
     /// Segment atoms (subproblem-local, sorted).
     pub a1: Vec<u32>,
@@ -451,130 +546,6 @@ pub fn prepare_split(sub: &SubProblem, a1: &[u32]) -> SplitData {
     })
 }
 
-/// Parallel divide (the paper's "cut" step off the critical path): the
-/// same split as [`prepare_split`], computed as two chunk-parallel
-/// column scans stitched by an `O(m)` prefix-sum pass.
-///
-/// * **pass 1** (parallel): per-column segment-part sizes + crossing
-///   classification;
-/// * **stitch** (sequential, `O(m)`): prefix sums turn the sizes into
-///   CSR offsets for the parts arena and both side projections;
-/// * **pass 2** (parallel): every column streams its entries into the
-///   three arenas at its precomputed offsets — writes are disjoint by
-///   construction, so the fills race-freely share the output buffers.
-///
-/// Output is bit-identical to the sequential divide (pinned by
-/// `split_differential.rs`); `parallel.rs` switches between the two by
-/// subproblem weight.
-pub fn prepare_split_par(sub: &SubProblem, a1: &[u32]) -> SplitData {
-    use c1p_pram::scan::SyncPtr;
-    use rayon::prelude::*;
-
-    let k = sub.n;
-    let m = sub.cols.n_cols();
-    // membership + per-side renumbering (O(k), sequential: cheap and
-    // needed in full by both passes)
-    let mut mark = vec![false; k];
-    let mut place = vec![0u32; k];
-    for (i, &a) in a1.iter().enumerate() {
-        mark[a as usize] = true;
-        place[a as usize] = i as u32;
-    }
-    let mut a2: Vec<u32> = Vec::with_capacity(k - a1.len());
-    for a in 0..k as u32 {
-        if !mark[a as usize] {
-            place[a as usize] = a2.len() as u32;
-            a2.push(a);
-        }
-    }
-    let (k1, k2) = (a1.len(), a2.len());
-    debug_assert!(k1 > 0 && k2 > 0, "partition must be proper");
-    // pass 1: segment-part size per column
-    let sn: Vec<u32> = (0..m as u32)
-        .into_par_iter()
-        .with_min_len(256)
-        .map(|ci| sub.cols.col(ci as usize).iter().filter(|&&a| mark[a as usize]).count() as u32)
-        .collect();
-    // stitch: offsets for the parts arena and both kept-side projections
-    let mut parts_off = Vec::with_capacity(m + 1);
-    let mut off1 = vec![u32::MAX; m]; // u32::MAX = column dropped on that side
-    let mut off2 = vec![u32::MAX; m];
-    let mut offs1 = Vec::with_capacity(m + 1);
-    let mut offs2 = Vec::with_capacity(m + 1);
-    let mut ty = Vec::with_capacity(m);
-    let (mut pp, mut p1, mut p2) = (0u32, 0u32, 0u32);
-    parts_off.push(0);
-    offs1.push(0);
-    offs2.push(0);
-    for ci in 0..m {
-        let len = sub.cols.col_len(ci) as u32;
-        let (s, h) = (sn[ci], len - sn[ci]);
-        pp += len;
-        parts_off.push(pp);
-        ty.push(if s == 0 || h == 0 {
-            CrossType::C
-        } else if s as usize == k1 {
-            CrossType::A
-        } else {
-            CrossType::B
-        });
-        if s >= 2 && (s as usize) < k1 {
-            off1[ci] = p1;
-            p1 += s;
-            offs1.push(p1);
-        }
-        if h >= 2 && (h as usize) < k2 {
-            off2[ci] = p2;
-            p2 += h;
-            offs2.push(p2);
-        }
-    }
-    // pass 2: disjoint-range fills of the three data arenas
-    let mut parts_data = vec![0u32; pp as usize];
-    let mut data1 = vec![0u32; p1 as usize];
-    let mut data2 = vec![0u32; p2 as usize];
-    {
-        let parts_ptr = SyncPtr(parts_data.as_mut_ptr());
-        let d1_ptr = SyncPtr(data1.as_mut_ptr());
-        let d2_ptr = SyncPtr(data2.as_mut_ptr());
-        let (mark, place, sn) = (&mark, &place, &sn);
-        (0..m as u32).into_par_iter().with_min_len(128).for_each(|ci| {
-            let ci = ci as usize;
-            let mut sp = parts_off[ci];
-            let mut hp = parts_off[ci] + sn[ci];
-            let mut c1 = off1[ci];
-            let mut c2 = off2[ci];
-            for &a in sub.cols.col(ci) {
-                // SAFETY: every target index below belongs to column
-                // `ci`'s precomputed half-open range in its arena; the
-                // ranges of distinct columns are disjoint.
-                if mark[a as usize] {
-                    unsafe { parts_ptr.write(sp as usize, a) };
-                    sp += 1;
-                    if c1 != u32::MAX {
-                        unsafe { d1_ptr.write(c1 as usize, place[a as usize]) };
-                        c1 += 1;
-                    }
-                } else {
-                    unsafe { parts_ptr.write(hp as usize, a) };
-                    hp += 1;
-                    if c2 != u32::MAX {
-                        unsafe { d2_ptr.write(c2 as usize, place[a as usize]) };
-                        c2 += 1;
-                    }
-                }
-            }
-        });
-    }
-    SplitData {
-        a1: a1.to_vec(),
-        a2,
-        split_cols: SplitCols::from_raw(parts_off, parts_data, sn, ty),
-        sub1: SubProblem { n: k1, cols: FlatCols::from_raw(offs1, data1) },
-        sub2: SubProblem { n: k2, cols: FlatCols::from_raw(offs2, data2) },
-    }
-}
-
 /// The combine: Steps 3–7 (decompose, align, merge). Each side's alignment
 /// yields a small set of candidate re-arrangements (Section 4's switches);
 /// every pair is checked by the verifying merge.
@@ -584,7 +555,6 @@ pub(crate) fn combine(
     order2: &[u32],
     mode: MergeMode,
     stats: &mut SolveStats,
-    par: bool,
 ) -> Result<Vec<u32>, NotC1p> {
     let SplitData { a1, a2, split_cols, .. } = data;
     // Identity fast path: the recursive orders are already realizations
@@ -595,7 +565,7 @@ pub(crate) fn combine(
     // witness verification) keep this a pure scheduling shortcut.
     let id_seg: Vec<u32> = order1.iter().map(|&x| a1[x as usize]).collect();
     let id_host: Vec<u32> = order2.iter().map(|&x| a2[x as usize]).collect();
-    if let Ok(m) = phase!(stats, PH_MERGE, merge_with(&id_seg, &id_host, split_cols, mode, par)) {
+    if let Ok(m) = phase!(stats, PH_MERGE, merge(&id_seg, &id_host, split_cols, mode)) {
         stats.fast_merges += 1;
         return Ok(m);
     }
@@ -612,7 +582,7 @@ pub(crate) fn combine(
         (host, cands)
     });
     let host_only = phase!(stats, PH_MERGE, {
-        host_cands.iter().find_map(|host| merge_with(&id_seg, host, split_cols, mode, par).ok())
+        host_cands.iter().find_map(|host| merge(&id_seg, host, split_cols, mode).ok())
     });
     if let Some(m) = host_only {
         stats.fast_merges += 1;
@@ -626,7 +596,7 @@ pub(crate) fn combine(
     );
     let merged = phase!(stats, PH_MERGE, {
         host_cands.iter().find_map(|host| {
-            seg_cands.iter().find_map(|seg| merge_with(seg, host, split_cols, mode, par).ok())
+            seg_cands.iter().find_map(|seg| merge(seg, host, split_cols, mode).ok())
         })
     });
     if let Some(m) = merged {
@@ -646,7 +616,7 @@ pub(crate) fn combine(
             .find_map(|host| {
                 std::iter::once(&id_seg)
                     .chain(&seg_cands)
-                    .find_map(|seg| merge_with(seg, host, split_cols, mode, par).ok())
+                    .find_map(|seg| merge(seg, host, split_cols, mode).ok())
             })
             .ok_or(NotC1p::at(RejectSite::Merge))
     })

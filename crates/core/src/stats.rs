@@ -52,20 +52,27 @@ pub struct SolveStats {
     /// one subproblem representation, and [`Self::csr_divides`] counts
     /// every divide (DESIGN.md §14).
     pub bitmat_divides: usize,
-    /// Divides executed (`prepare_split` / `prepare_split_par` calls).
+    /// Divides executed (`prepare_split` calls).
     pub csr_divides: usize,
     /// Wall-clock nanoseconds spent per solver phase, indexed by the
-    /// `PH_*` constants / [`PHASE_NAMES`]. On the sequential path the
-    /// phases are disjoint intervals of one thread, so their sum is
-    /// bounded by the solve's wall time; under the parallel driver the
-    /// entries are summed CPU time across branches and may exceed it.
+    /// `PH_*` constants / [`PHASE_NAMES`]. Every level is timed, forking
+    /// or not. Where the solve never forks, the phases are disjoint
+    /// intervals of one thread, so their sum is bounded by the solve's
+    /// wall time; where it forks, the entries sum CPU time across
+    /// branches and may exceed it. The only field that depends on the
+    /// pool.
     pub phase_ns: [u64; N_PHASES],
-    /// Modelled PRAM cost (filled by the parallel driver).
+    /// Modelled PRAM cost, composed per node of the recursion by every
+    /// entry (sibling subtrees and components join with `Cost::par`).
+    /// It does not depend on the pool or the fork policy. On a rejection
+    /// it covers the components realized before the rejecting one.
     pub cost: Cost,
 }
 
 impl SolveStats {
-    /// Merges another run's counters into this one (parallel driver joins).
+    /// Merges a forked branch's counters into this one (the recursion's
+    /// fork points absorb each branch where the sequential order would
+    /// have run it).
     pub fn absorb(&mut self, other: &SolveStats) {
         self.subproblems += other.subproblems;
         self.max_depth = self.max_depth.max(other.max_depth);
@@ -80,7 +87,7 @@ impl SolveStats {
         for (mine, theirs) in self.phase_ns.iter_mut().zip(other.phase_ns.iter()) {
             *mine += theirs;
         }
-        // costs are composed explicitly by the parallel driver
+        // costs are composed explicitly per node by the recursion
     }
 }
 

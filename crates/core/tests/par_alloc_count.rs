@@ -1,12 +1,11 @@
 //! Allocation-count regression test for the *parallel* driver — the
 //! sibling of `alloc_count.rs` (which pins the sequential path).
 //!
-//! The parallel path adds per-fork overhead on top of the CSR divide:
-//! task bookkeeping, the two-pass parallel divide's offset tables, and
-//! per-worker scratch pools. All of that is O(subproblems), not
-//! O(p · levels): the budget below fails loudly if per-column heap
-//! traffic creeps into the parallel divide or the fan-out starts
-//! cloning columns. Measured after a warm-up run so one-time pool and
+//! The forking path adds per-fork overhead on top of the CSR divide:
+//! task bookkeeping, per-branch counters and per-worker scratch pools.
+//! All of that is O(subproblems), not O(p · levels): the budget below
+//! fails loudly if per-column heap traffic creeps into the divide under
+//! forks or the fan-out starts cloning columns. Measured after a warm-up run so one-time pool and
 //! thread-local initialization stays out of the count.
 
 use c1p_core::parallel::solve_par;

@@ -79,47 +79,9 @@ fn flat_divide_matches_seed_semantics() {
     }
 }
 
-#[test]
-fn parallel_divide_matches_sequential_divide() {
-    use c1p_core::solver::prepare_split_par;
-    // run on a real multi-worker pool so the fills genuinely race
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-    pool.install(|| {
-        for seed in 0..200u64 {
-            let mut rng = SmallRng::seed_from_u64(0x9A7 ^ seed);
-            let sub = random_subproblem(&mut rng, 40, 12);
-            let n = sub.n;
-            let a1: Vec<u32> = loop {
-                let cut: Vec<u32> =
-                    (0..n as u32).filter(|_| rng.random_range(0..2usize) == 0).collect();
-                if !cut.is_empty() && cut.len() < n {
-                    break cut;
-                }
-            };
-            let seq = prepare_split(&sub, &a1);
-            let par = prepare_split_par(&sub, &a1);
-            assert_eq!(par.a1, seq.a1, "seed {seed}");
-            assert_eq!(par.a2, seq.a2, "seed {seed}");
-            assert_eq!(par.sub1, seq.sub1, "seed {seed}: segment projection differs");
-            assert_eq!(par.sub2, seq.sub2, "seed {seed}: host projection differs");
-            assert_eq!(par.split_cols.len(), seq.split_cols.len(), "seed {seed}");
-            for ci in 0..seq.split_cols.len() {
-                assert_eq!(par.split_cols.seg(ci), seq.split_cols.seg(ci), "seed {seed} col {ci}");
-                assert_eq!(
-                    par.split_cols.host(ci),
-                    seq.split_cols.host(ci),
-                    "seed {seed} col {ci}"
-                );
-                assert_eq!(par.split_cols.ty(ci), seq.split_cols.ty(ci), "seed {seed} col {ci}");
-            }
-        }
-    });
-}
-
-/// Asserts `prepare_split` matches the seed's nested-vec divide and
-/// `prepare_split_par` matches `prepare_split`, field by field.
+/// Asserts `prepare_split` matches the seed's nested-vec divide, field by
+/// field.
 fn check_divide(sub: &SubProblem, a1: &[u32], what: &str) {
-    use c1p_core::solver::prepare_split_par;
     let nested = NaiveSub { n: sub.n, cols: sub.cols.iter().map(|c| c.to_vec()).collect() };
     let (ref_split, ref_sub1, ref_sub2) = naive_prepare_split(&nested, a1);
     let got = prepare_split(sub, a1);
@@ -136,14 +98,6 @@ fn check_divide(sub: &SubProblem, a1: &[u32], what: &str) {
     assert_eq!((got.sub1.n, got.sub2.n), (ref_sub1.n, ref_sub2.n), "{what}");
     assert_eq!(got_cols1, ref_sub1.cols, "{what}: segment projection differs");
     assert_eq!(got_cols2, ref_sub2.cols, "{what}: host projection differs");
-    let par = prepare_split_par(sub, a1);
-    assert_eq!((&par.a1, &par.a2), (&got.a1, &got.a2), "{what}: par sides");
-    assert_eq!((&par.sub1, &par.sub2), (&got.sub1, &got.sub2), "{what}: par projections");
-    for ci in 0..got.split_cols.len() {
-        assert_eq!(par.split_cols.seg(ci), got.split_cols.seg(ci), "{what}: par col {ci}");
-        assert_eq!(par.split_cols.host(ci), got.split_cols.host(ci), "{what}: par col {ci}");
-        assert_eq!(par.split_cols.ty(ci), got.split_cols.ty(ci), "{what}: par col {ci}");
-    }
 }
 
 /// A random sorted subset of `from` with `len` atoms (clamped to `from`).
@@ -192,43 +146,38 @@ fn edge_columns(rng: &mut SmallRng, a1: &[u32], a2: &[u32], m: usize) -> FlatCol
 }
 
 #[test]
-fn divide_edge_shapes_match_the_oracle_and_the_parallel_divide() {
-    // a real multi-worker pool, so the parallel fills genuinely race
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-    pool.install(|| {
-        let mut case = 0u64;
-        for k in [3usize, 4, 5, 17, 64, 255, 1024, 4096] {
-            for side in 0..4u32 {
-                case += 1;
-                let mut rng = SmallRng::seed_from_u64(0xED6E ^ case);
-                let all: Vec<u32> = (0..k as u32).collect();
-                // |A1| = 1, |A2| = 1, a random cut, a contiguous block
-                let a1: Vec<u32> = match side {
-                    0 => pick(&mut rng, &all, 1),
-                    1 => {
-                        let out = rng.random_range(0..k as u32);
-                        all.iter().copied().filter(|&a| a != out).collect()
-                    }
-                    2 => {
-                        let len = rng.random_range(1..k);
-                        pick(&mut rng, &all, len)
-                    }
-                    _ => {
-                        let len = rng.random_range(1..k);
-                        let lo = rng.random_range(0..=k - len) as u32;
-                        (lo..lo + len as u32).collect()
-                    }
-                };
-                let a2: Vec<u32> =
-                    all.iter().copied().filter(|a| a1.binary_search(a).is_err()).collect();
-                // many columns on small sizes (so the parallel passes
-                // split into several chunks), fewer on large ones
-                let m = if k <= 255 { 600 } else { 24 };
-                let cols = edge_columns(&mut rng, &a1, &a2, m);
-                check_divide(&SubProblem { n: k, cols }, &a1, &format!("k {k} side {side}"));
-            }
+fn divide_edge_shapes_match_the_oracle() {
+    let mut case = 0u64;
+    for k in [3usize, 4, 5, 17, 64, 255, 1024, 4096] {
+        for side in 0..4u32 {
+            case += 1;
+            let mut rng = SmallRng::seed_from_u64(0xED6E ^ case);
+            let all: Vec<u32> = (0..k as u32).collect();
+            // |A1| = 1, |A2| = 1, a random cut, a contiguous block
+            let a1: Vec<u32> = match side {
+                0 => pick(&mut rng, &all, 1),
+                1 => {
+                    let out = rng.random_range(0..k as u32);
+                    all.iter().copied().filter(|&a| a != out).collect()
+                }
+                2 => {
+                    let len = rng.random_range(1..k);
+                    pick(&mut rng, &all, len)
+                }
+                _ => {
+                    let len = rng.random_range(1..k);
+                    let lo = rng.random_range(0..=k - len) as u32;
+                    (lo..lo + len as u32).collect()
+                }
+            };
+            let a2: Vec<u32> =
+                all.iter().copied().filter(|a| a1.binary_search(a).is_err()).collect();
+            // many columns on small sizes, fewer on large ones
+            let m = if k <= 255 { 600 } else { 24 };
+            let cols = edge_columns(&mut rng, &a1, &a2, m);
+            check_divide(&SubProblem { n: k, cols }, &a1, &format!("k {k} side {side}"));
         }
-    });
+    }
 }
 
 // ---------------------------------------------------------------------

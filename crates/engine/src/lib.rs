@@ -14,7 +14,7 @@
 //!   one; queue depth and batch size are the front end's admission
 //!   knobs). Small instances (≤ [`EngineConfig::small_cutoff`] atoms)
 //!   fan out *across* the pool — each solved sequentially, many at once —
-//!   while large instances take the parallel divide path one at a time
+//!   while large instances take the forking solver path one at a time
 //!   ([`c1p_core::parallel`]'s `solve_par`), which parallelizes *within*
 //!   the instance;
 //! * **caching** — results are keyed by the hash-consed canonical ensemble
@@ -72,7 +72,7 @@ pub struct EngineConfig {
     /// coalescing still works — it lives outside the cache).
     pub cache_bytes: usize,
     /// Instances with at most this many atoms are solved sequentially and
-    /// batched across the pool; larger ones take the parallel divide path
+    /// batched across the pool; larger ones take the forking solver path
     /// individually.
     pub small_cutoff: usize,
     /// Admission control: instances with more atoms than this are rejected
@@ -338,7 +338,7 @@ pub struct EngineStats {
     pub overloaded: u64,
     /// Small instances fanned out across the pool.
     pub batched_small: u64,
-    /// Large instances routed through the parallel divide path.
+    /// Large instances routed through the forking solver path.
     pub large_direct: u64,
     /// Entries evicted from the result cache.
     pub evictions: u64,
@@ -636,7 +636,7 @@ impl Engine {
     }
 
     /// Solves a batch: small instances fan out across the shared pool,
-    /// large ones run the parallel divide path one at a time; duplicate
+    /// large ones run the forking solver path one at a time; duplicate
     /// instances inside the batch are deduplicated through the cache
     /// machinery. `results[i]` answers `reqs[i]`.
     pub fn solve_batch(&self, reqs: &[Ensemble]) -> Vec<Result<Verdict, EngineError>> {
@@ -685,7 +685,7 @@ impl Engine {
             wal::WalWriter::create(dir, id, n_atoms as u64)
                 .expect("WAL create (durability directory must stay writable)")
         });
-        // large re-solved groups take the parallel divide path on the
+        // large re-solved groups take the forking solver path on the
         // shared pool, mirroring the batch path's small/large routing
         let inc = IncrementalSolver::with_config(
             n_atoms,
@@ -1316,7 +1316,7 @@ fn solve_canonical(
 }
 
 /// The actual solve, in canonical column space. Small instances run the
-/// sequential certified solver; large ones the parallel divide path (we
+/// sequential certified solver; large ones the forking solver path (we
 /// are already `install`ed on the engine pool). Returns the run's
 /// counters alongside the verdict for phase attribution.
 fn compute(canon: &Ensemble, cfg: &EngineConfig) -> (Verdict, SolveStats) {

@@ -74,12 +74,16 @@ pub fn compact<T: Copy + Send + Sync>(xs: &[T], keep: &[bool]) -> (Vec<T>, Cost)
     (out, cost)
 }
 
-/// A raw pointer that may be shared across parallel scatter tasks;
-/// callers guarantee disjoint target indices. The one shared copy of
-/// this unsafe primitive (the parallel divide in `c1p-core` reuses it).
-pub struct SyncPtr<T>(pub *mut T);
-unsafe impl<T> Sync for SyncPtr<T> {}
-unsafe impl<T> Send for SyncPtr<T> {}
+/// A raw pointer that may be shared across [`compact`]'s parallel
+/// scatter tasks; callers guarantee disjoint target indices.
+struct SyncPtr<T>(*mut T);
+// SAFETY: the one field is a pointer whose targets other threads write
+// (and drop the previous value of) through `write`, so `T` must be
+// `Send`; `write`'s contract keeps those writes disjoint.
+unsafe impl<T: Send> Sync for SyncPtr<T> {}
+// SAFETY: as for `Sync`: moving the pointer to another thread only
+// lets that thread write `T` values through it.
+unsafe impl<T: Send> Send for SyncPtr<T> {}
 impl<T> SyncPtr<T> {
     /// Writes `v` at offset `i`.
     ///
@@ -87,7 +91,7 @@ impl<T> SyncPtr<T> {
     ///
     /// `i` must be in bounds of the pointed-to allocation and written
     /// by at most one thread.
-    pub unsafe fn write(&self, i: usize, v: T) {
+    unsafe fn write(&self, i: usize, v: T) {
         unsafe { *self.0.add(i) = v };
     }
 }
