@@ -1,9 +1,8 @@
-//! End-to-end solver benchmarks (E10): divide-and-conquer (pure and with
-//! the PQ base case) vs the Booth–Lueker baseline, accept and reject
-//! paths, and the certified-rejection pipeline.
+//! End-to-end solver benchmarks (E10): divide-and-conquer vs the
+//! Booth–Lueker baseline, accept and reject paths, and the
+//! certified-rejection pipeline.
 
 use c1p_bench::workloads::{planted, planted_reject};
-use c1p_core::Config;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_solvers(c: &mut Criterion) {
@@ -17,9 +16,6 @@ fn bench_solvers(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("dc", n), &ens, |b, e| {
             b.iter(|| c1p_core::solve(e).is_ok())
         });
-        g.bench_with_input(BenchmarkId::new("dc_pq_base", n), &ens, |b, e| {
-            b.iter(|| c1p_core::solve_with(e, &Config::fast()).0.is_ok())
-        });
         g.bench_with_input(BenchmarkId::new("pqtree", n), &cols, |b, cols| {
             b.iter(|| c1p_pqtree::solve(n, cols).is_some())
         });
@@ -31,8 +27,7 @@ fn bench_solvers(c: &mut Criterion) {
 
     // The divide step on the live representation, isolated — rerun this
     // group before/after a change to the split path to see its effect
-    // without whole-solver noise (benches/split.rs compares against the
-    // seed's nested-vec formulation).
+    // without whole-solver noise.
     let mut g = c.benchmark_group("split");
     g.sample_size(20);
     for k in [12usize, 14] {

@@ -14,10 +14,11 @@ use c1p_bench::models::{annexstein_swaminathan, booth_lueker, chen_yesha, klein,
 use c1p_bench::tables::Table;
 use c1p_bench::workloads::{planted, planted_k};
 use c1p_bench::{fmt_secs, median_time};
+use c1p_core::cost::log2ceil;
+use c1p_core::parallel::pool;
 use c1p_core::Config;
 use c1p_matrix::biology::CloneLibrary;
 use c1p_matrix::noise;
-use c1p_pram::cost::log2ceil;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -140,7 +141,7 @@ fn e3() {
     let mut t = Table::new(&["threads", "time", "speedup"]);
     let mut base = None;
     for threads in [1usize, 2, 4, 8] {
-        let pool = c1p_pram::pool(threads); // built outside the timed region
+        let pool = pool(threads); // built outside the timed region
         let (dt, ok) =
             median_time(3, || pool.install(|| c1p_core::parallel::solve_par(&ens).0.is_ok()));
         assert!(ok);
@@ -332,19 +333,17 @@ fn e8() {
 /// E9 — head-to-head against Booth–Lueker across sizes.
 fn e9() {
     println!("## E9 — divide-and-conquer vs the Booth–Lueker baseline\n");
-    let mut t = Table::new(&["n", "p", "D&C", "D&C+pq base", "PQ-tree", "D&C / PQ"]);
+    let mut t = Table::new(&["n", "p", "D&C", "PQ-tree", "D&C / PQ"]);
     for k in [10usize, 12, 14, 16] {
         let n = 1 << k;
         let ens = planted(n, 9);
         let cols = ens.columns().to_vec();
         let (t_dc, _) = median_time(3, || c1p_core::solve(&ens).is_ok());
-        let (t_fast, _) = median_time(3, || c1p_core::solve_with(&ens, &Config::fast()).0.is_ok());
         let (t_pq, _) = median_time(3, || c1p_pqtree::solve(ens.n_atoms(), &cols).is_some());
         t.row(vec![
             n.to_string(),
             ens.p().to_string(),
             fmt_secs(t_dc),
-            fmt_secs(t_fast),
             fmt_secs(t_pq),
             format!("{:.1}x", t_dc.as_secs_f64() / t_pq.as_secs_f64()),
         ]);
@@ -357,12 +356,11 @@ fn e9() {
 }
 
 /// E10 — machine-readable solver benchmarks: writes `BENCH_solve.json`
-/// (ns/op per solver, per divide-step implementation, and for the
-/// certify pipeline: plain reject vs reject + Tucker-witness extraction
-/// vs the independent witness check) so the perf trajectory across PRs
-/// stays diffable. See DESIGN.md §6–§7.
+/// (ns/op per solver, for the divide step, and for the certify
+/// pipeline: plain reject vs reject + Tucker-witness extraction vs the
+/// independent witness check) so the perf trajectory across PRs stays
+/// diffable. See DESIGN.md §6–§7.
 fn e10() {
-    use c1p_bench::naive::{naive_prepare_split, NaiveSub};
     use c1p_bench::workloads::planted_reject;
     use c1p_core::solver::prepare_split;
     use c1p_core::FlatCols;
@@ -377,16 +375,12 @@ fn e10() {
         let p = ens.p();
         let cols = ens.columns().to_vec();
         let (t_dc, _) = median_time(reps, || c1p_core::solve(&ens).is_ok());
-        let (t_fast, _) =
-            median_time(reps, || c1p_core::solve_with(&ens, &Config::fast()).0.is_ok());
         let (t_par, _) = median_time(reps, || c1p_core::parallel::solve_par(&ens).0.is_ok());
         let (t_pq, _) = median_time(reps, || c1p_pqtree::solve(n, &cols).is_some());
-        // the divide step alone, flat CSR vs the seed's nested vecs
+        // the divide step alone
         let flat = c1p_core::solver::SubProblem { n, cols: FlatCols::from_cols(&cols) };
-        let naive = NaiveSub { n, cols: cols.clone() };
         let a1: Vec<u32> = (0..(n / 2) as u32).collect();
         let (t_split_flat, _) = median_time(reps, || prepare_split(&flat, &a1).sub1.n);
-        let (t_split_naive, _) = median_time(reps, || naive_prepare_split(&naive, &a1).1.n);
         // the certify pipeline, median across all five Tucker families
         // (planted_reject cycles the family by seed), so the recorded cost
         // covers the parameterized families, not just constant-size M_IV
@@ -420,29 +414,24 @@ fn e10() {
         write!(
             e,
             "  {{\"n\": {n}, \"m\": {}, \"p\": {p}, \"ns_per_op\": {{\
-             \"dc\": {}, \"dc_pq_base\": {}, \"dc_parallel\": {}, \"pqtree\": {}, \
-             \"split_flat\": {}, \"split_nested_vec\": {}, \
+             \"dc\": {}, \"dc_parallel\": {}, \"pqtree\": {}, \"split_flat\": {}, \
              \"reject_plain\": {}, \"reject_certified\": {}, \"verify_witness\": {}}}}}",
             ens.n_columns(),
             t_dc.as_nanos(),
-            t_fast.as_nanos(),
             t_par.as_nanos(),
             t_pq.as_nanos(),
             t_split_flat.as_nanos(),
-            t_split_naive.as_nanos(),
             t_reject.as_nanos(),
             t_certify.as_nanos(),
             t_verify.as_nanos(),
         )
         .unwrap();
         println!(
-            "n={n}: dc {} | dc_pq_base {} | dc_parallel {} | pqtree {} | split flat {} vs nested {}",
+            "n={n}: dc {} | dc_parallel {} | pqtree {} | split {}",
             fmt_secs(t_dc),
-            fmt_secs(t_fast),
             fmt_secs(t_par),
             fmt_secs(t_pq),
             fmt_secs(t_split_flat),
-            fmt_secs(t_split_naive),
         );
         println!(
             "        reject {} | reject+witness {} | verify_witness {}",
@@ -452,8 +441,8 @@ fn e10() {
         );
         entries.push(e);
     }
-    // Thread sweep (ISSUE 3): self-relative speedup of the parallel
-    // driver and a PRAM primitive on the work-stealing pool. Recorded
+    // Thread sweep: self-relative speedup of the parallel driver on the
+    // work-stealing pool. Recorded
     // with the host's hardware thread count — self-relative speedup is
     // physically capped by min(threads, host_threads), so the numbers
     // are only comparable across hosts through that cap.
@@ -463,18 +452,11 @@ fn e10() {
     let sweep = [1usize, 2, 4, 8];
     let mut dc_par_ns: Vec<(usize, u128)> = Vec::new();
     for &t in &sweep {
-        let pool = c1p_pram::pool(t); // pool construction outside the timed region
+        let pool = pool(t); // pool construction outside the timed region
         let (dt, ok) =
             median_time(3, || pool.install(|| c1p_core::parallel::solve_par(&ens).0.is_ok()));
         assert!(ok);
         dc_par_ns.push((t, dt.as_nanos()));
-    }
-    let xs: Vec<u64> = (0..(1u64 << 20)).map(|i| i % 17).collect();
-    let mut scan_ns: Vec<(usize, u128)> = Vec::new();
-    for &t in &sweep {
-        let pool = c1p_pram::pool(t);
-        let (dt, _) = median_time(5, || pool.install(|| c1p_pram::scan::prefix_sum(&xs).1));
-        scan_ns.push((t, dt.as_nanos()));
     }
     let speedup_at = |v: &[(usize, u128)], t: usize| {
         v[0].1 as f64 / v.iter().find(|&&(tt, _)| tt == t).unwrap().1.max(1) as f64
@@ -509,19 +491,14 @@ fn e10() {
          honest ceiling is 1.0\", \
          \"dc_parallel_ns_at_16384\": {{{}}}, \
          \"dc_parallel_speedup\": {{{}}}, \
-         \"prefix_sum_ns_at_2e20\": {{{}}}, \
-         \"prefix_sum_speedup\": {{{}}}, \
          \"speedup_floor_4t\": {floor_4t:.3}}}",
         fmt_sweep(&dc_par_ns),
         fmt_speedups(&dc_par_ns),
-        fmt_sweep(&scan_ns),
-        fmt_speedups(&scan_ns),
     );
     // The whole-solver baseline measured on the seed's nested-vec
     // representation (same workload, same machine class) before the
     // flat-CSR rewrite landed; kept verbatim so the speedup claim stays
-    // auditable after the naive solver itself is gone. The naive *divide
-    // step* remains live above (`split_nested_vec`).
+    // auditable after the naive solver itself is gone.
     let seed_baseline = "{\"commit\": \"pre-flat-CSR seed + manifests\", \
          \"dc_ns_at_16384\": 589322000, \"dc_pq_base_ns_at_16384\": 440531000, \
          \"dc_parallel_ns_at_16384\": 604725000, \"pqtree_ns_at_16384\": 180850000}";
@@ -529,10 +506,10 @@ fn e10() {
         "{{\n\"workload\": \"planted(n, seed=1), m = 2n interval columns; \
          reject_*/verify use planted_reject(n, seeds 1-5: one per Tucker family)\",\n\
          \"note\": \"medians of {reps} reps (certify pipeline: 3 reps, then the \
-         median across the five families); split_* measure one top-level divide; \
+         median across the five families); split_flat measures one top-level divide; \
          reject_certified = solve + Tucker-witness extraction, verify_witness = \
          the independent checker alone; thread_sweep records self-relative \
-         dc_parallel/prefix_sum speedups and the par-smoke gate floor; \
+         dc_parallel speedups and the par-smoke gate floor; \
          see DESIGN.md §6-§7\",\n\
          \"seed_nested_vec_baseline\": {seed_baseline},\n\
          \"thread_sweep\": {thread_sweep},\n\

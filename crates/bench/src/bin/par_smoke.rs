@@ -32,10 +32,11 @@
 
 use c1p_bench::workloads::planted;
 use c1p_bench::{fmt_secs, median_time};
+use c1p_core::cost::Cost;
+use c1p_core::parallel::with_threads;
 use c1p_core::stats::{PH_ALIGN, PH_DECOMPOSE};
 use c1p_core::SolveStats;
 use c1p_matrix::tucker;
-use c1p_pram::Cost;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -67,7 +68,7 @@ fn main() {
         let (expect, seq) = c1p_core::solve_with(&ens, &c1p_core::Config::default());
         let expect = expect.expect("planted instance accepted");
         for &t in &threads {
-            let (got, stats) = c1p_pram::with_threads(t, || c1p_core::parallel::solve_par(&ens));
+            let (got, stats) = with_threads(t, || c1p_core::parallel::solve_par(&ens));
             checked += 1;
             if got.as_ref().ok() != Some(&expect) {
                 eprintln!("FAIL: accept seed {seed} n={n} t={t}: order diverged");
@@ -91,7 +92,7 @@ fn main() {
         let (expect_rej, seq) = c1p_core::solve_with(&bad, &c1p_core::Config::default());
         let expect_rej = expect_rej.expect_err("obstruction rejected");
         for &t in &threads {
-            let (got, stats) = c1p_pram::with_threads(t, || c1p_core::parallel::solve_par(&bad));
+            let (got, stats) = with_threads(t, || c1p_core::parallel::solve_par(&bad));
             checked += 1;
             if work(&stats) != work(&seq) {
                 eprintln!(
@@ -119,12 +120,10 @@ fn main() {
     // 2. speedup gate
     println!("\n## speedup gate (dc_parallel, n=2^14, 1 vs 4 threads)");
     let ens = planted(1 << 14, 1);
-    let (t1, ok1) = median_time(3, || {
-        c1p_pram::with_threads(1, || c1p_core::parallel::solve_par(&ens).0.is_ok())
-    });
-    let (t4, ok4) = median_time(3, || {
-        c1p_pram::with_threads(4, || c1p_core::parallel::solve_par(&ens).0.is_ok())
-    });
+    let (t1, ok1) =
+        median_time(3, || with_threads(1, || c1p_core::parallel::solve_par(&ens).0.is_ok()));
+    let (t4, ok4) =
+        median_time(3, || with_threads(4, || c1p_core::parallel::solve_par(&ens).0.is_ok()));
     assert!(ok1 && ok4);
     let speedup = t1.as_secs_f64() / t4.as_secs_f64();
     let floor = read_floor("BENCH_solve.json");
@@ -177,14 +176,13 @@ fn main() {
 
 /// The `SolveStats` work counters and the modelled cost: everything the
 /// parallel entries must share with the sequential one.
-fn work(s: &SolveStats) -> ([usize; 10], Cost) {
+fn work(s: &SolveStats) -> ([usize; 9], Cost) {
     let counters = [
         s.subproblems,
         s.max_depth,
         s.case1,
         s.case2,
         s.base_cases,
-        s.pq_base_cases,
         s.decompositions,
         s.members,
         s.fast_merges,

@@ -7,7 +7,6 @@
 //! under `benches/`.
 
 pub mod models;
-pub mod naive;
 pub mod tables;
 pub mod workloads;
 

@@ -43,20 +43,6 @@ impl Cost {
     pub fn par(self, other: Cost) -> Cost {
         Cost { work: self.work + other.work, depth: self.depth.max(other.depth) }
     }
-
-    /// Parallel composition over many costs.
-    pub fn par_all(costs: impl IntoIterator<Item = Cost>) -> Cost {
-        costs.into_iter().fold(Cost::ZERO, Cost::par)
-    }
-
-    /// Brent's bound: processors needed to achieve time `target_depth`
-    /// given this work/depth (`⌈work/target⌉`, never below 1 when work>0).
-    pub fn processors_for(self, target_depth: u64) -> u64 {
-        if self.work == 0 {
-            return 0;
-        }
-        self.work.div_ceil(target_depth.max(1)).max(1)
-    }
 }
 
 impl Add for Cost {
@@ -87,15 +73,7 @@ mod tests {
         assert_eq!(a.seq(b), Cost::of(15, 9));
         assert_eq!(a.par(b), Cost::of(15, 7));
         assert_eq!(a + b, Cost::of(15, 9));
-        assert_eq!(Cost::par_all([a, b, Cost::step(1)]), Cost::of(16, 7));
-    }
-
-    #[test]
-    fn brent() {
-        assert_eq!(Cost::of(100, 4).processors_for(10), 10);
-        assert_eq!(Cost::of(100, 4).processors_for(3), 34);
-        assert_eq!(Cost::ZERO.processors_for(10), 0);
-        assert_eq!(Cost::of(5, 1).processors_for(0), 5);
+        assert_eq!(a.par(b).par(Cost::step(1)), Cost::of(16, 7));
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 pub mod align;
 pub mod circular;
+pub mod cost;
 pub mod flat;
 pub mod interval_graphs;
 pub mod merge;
@@ -47,21 +48,19 @@ mod tests {
         let r = Rejection::at(RejectSite::Merge).fill(3);
         assert_eq!(r.atoms, vec![0, 1, 2]);
         // fill never overwrites existing evidence
-        let r = Rejection { site: RejectSite::PqBase, atoms: vec![1] }.fill(5);
+        let r = Rejection { site: RejectSite::Merge, atoms: vec![1] }.fill(5);
         assert_eq!(r.atoms, vec![1]);
         let r = r.mapped(&[10, 20, 30]);
         assert_eq!(r.atoms, vec![20]);
         let r = r.widened(2);
         assert_eq!(r.atoms, vec![0, 1]);
-        assert_eq!(r.site, RejectSite::PqBase);
+        assert_eq!(r.site, RejectSite::Merge);
     }
 }
 
 /// The pipeline stage that detected a rejection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectSite {
-    /// A Booth–Lueker base case: a PQ-tree column reduction failed.
-    PqBase,
     /// Step 7: no feasible split vertex / segment orientation survived the
     /// verifying merge.
     Merge,

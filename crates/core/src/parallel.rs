@@ -17,12 +17,33 @@
 //! and at every thread count (`tests/par_determinism.rs`); only the phase
 //! timings depend on the pool. The per-node cost charges are listed in
 //! the [`crate::solver`] module docs.
+//!
+//! [`pool`] and [`with_threads`] build a rayon pool of a fixed size, so
+//! the speedup experiments (E3) and the thread-sweep tests can measure
+//! and compare 1, 2, 4 and 8 threads.
 
+use crate::cost::log2ceil;
 use crate::solver::{component_realized, solve_components};
 use crate::stats::SolveStats;
 use crate::{Config, Rejection};
 use c1p_matrix::{Atom, Ensemble};
-use c1p_pram::cost::log2ceil;
+
+/// Builds a dedicated rayon pool with `threads` workers. Measurement
+/// loops should build once and `install` per rep — pool construction
+/// and teardown (thread spawn/join) otherwise lands inside the timed
+/// region.
+pub fn pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads.max(1))
+        .build()
+        .expect("failed to build thread pool")
+}
+
+/// Runs `f` on a dedicated rayon thread pool with `threads` workers.
+/// All rayon parallelism inside `f` is confined to that pool.
+pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    pool(threads).install(f)
+}
 
 /// The fork policy of one solve: where the recursion may run independent
 /// branches under `rayon::join`, adapted to subproblem size and depth.
@@ -106,6 +127,29 @@ mod tests {
     use c1p_matrix::generate::{planted_c1p, PlantedShape};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn pool_restricts_thread_count() {
+        let inside = with_threads(2, rayon::current_num_threads);
+        assert_eq!(inside, 2);
+    }
+
+    #[test]
+    fn work_runs_inside_pool() {
+        use rayon::prelude::*;
+        let xs: Vec<u64> = (0..1000).collect();
+        let sum: u64 = with_threads(3, || {
+            let ys: Vec<u64> = xs.par_iter().map(|&x| x).collect();
+            ys.iter().sum()
+        });
+        assert_eq!(sum, 499_500);
+    }
+
+    #[test]
+    fn single_thread_pool() {
+        let inside = with_threads(1, rayon::current_num_threads);
+        assert_eq!(inside, 1);
+    }
 
     #[test]
     fn parallel_agrees_with_sequential() {

@@ -45,6 +45,7 @@
 //! preserved through monotone renumberings and asserted in debug).
 
 use crate::align::{align_host_cyclic, align_side1, align_side2, Aligned, ChordInfo, CrossType};
+use crate::cost::{log2ceil, Cost};
 use crate::flat::{take_ty, take_u32, with_scratch, FlatCols, SplitCols};
 use crate::merge::{merge, MergeMode};
 use crate::parallel::Sched;
@@ -52,8 +53,6 @@ use crate::partition::{grow_segment, proper_column, tucker_transform, Growth};
 use crate::stats::{SolveStats, PH_ALIGN, PH_DECOMPOSE, PH_MERGE, PH_PARTITION, PH_PREPARE};
 use crate::{NotC1p, RejectSite, Rejection};
 use c1p_matrix::{verify_linear, Atom, Ensemble};
-use c1p_pram::cost::log2ceil;
-use c1p_pram::Cost;
 use c1p_tutte::TutteTree;
 
 // Per-solve phase timing: two `Instant::now()` reads around the phase
@@ -99,11 +98,6 @@ pub struct SubProblem {
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
-    /// Subproblems with at most this many atoms are handed to the
-    /// Booth–Lueker baseline (`c1p-pqtree`), as the paper's Section 5
-    /// suggests for small `p_i`. `0` disables the shortcut — the pure
-    /// paper algorithm recurses to `|A| ≤ 2`.
-    pub pq_base_threshold: usize,
     /// Verify every intermediate realization (O(p log n) extra work);
     /// always on in debug builds.
     pub paranoid: bool,
@@ -120,11 +114,7 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            pq_base_threshold: 0,
-            paranoid: cfg!(debug_assertions),
-            seq_cutoff: Config::AUTO_CUTOFF,
-        }
+        Config { paranoid: cfg!(debug_assertions), seq_cutoff: Config::AUTO_CUTOFF }
     }
 }
 
@@ -132,13 +122,6 @@ impl Config {
     /// Sentinel for [`Config::seq_cutoff`]: auto-tune from
     /// `rayon::current_num_threads()` and the root instance size.
     pub const AUTO_CUTOFF: usize = usize::MAX;
-
-    /// The practical profile: PQ-tree base case at the paper's `p_i ≲ log n`
-    /// granularity (we cut on atom count instead; E10 in README.md's
-    /// "Experiments" section compares it, recorded in `BENCH_solve.json`).
-    pub fn fast() -> Self {
-        Config { pq_base_threshold: 32, paranoid: false, seq_cutoff: Config::AUTO_CUTOFF }
-    }
 }
 
 /// Decides C1P for `ens`; returns a verified witness order of the atoms,
@@ -266,18 +249,10 @@ pub(crate) fn realize(
     stats.max_depth = stats.max_depth.max(depth);
     let k = sub.n;
     let p = sub.cols.total_len();
-    // a base case is modelled as the paper's small-subproblem sequential run
-    let base_cost = Cost::of((p + k) as u64, (p + k) as u64);
-    // Step 0
+    // Step 0, modelled as the paper's small-subproblem sequential run
     if k <= 2 {
         stats.base_cases += 1;
-        return Ok(((0..k as u32).collect(), base_cost));
-    }
-    if cfg.pq_base_threshold > 0 && k <= cfg.pq_base_threshold {
-        stats.pq_base_cases += 1;
-        let order = c1p_pqtree::solve(k, &sub.cols)
-            .ok_or_else(|| Rejection::at(RejectSite::PqBase).fill(k))?;
-        return Ok((order, base_cost));
+        return Ok(((0..k as u32).collect(), Cost::of((p + k) as u64, (p + k) as u64)));
     }
     // Step 2: the divide (scan / transform / growth)
     let divide_cost = Cost::of(p.max(1) as u64, log2ceil(k));

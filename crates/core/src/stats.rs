@@ -1,7 +1,7 @@
 //! Run instrumentation: the counters behind experiment E8 (recursion
 //! structure) and the PRAM cost accounting of experiment E2.
 
-use c1p_pram::Cost;
+use crate::cost::Cost;
 
 /// Stable names for the solver's wall-clock phases, in pipeline order.
 ///
@@ -39,8 +39,6 @@ pub struct SolveStats {
     pub case2: usize,
     /// `|A| ≤ 2` base cases.
     pub base_cases: usize,
-    /// Subproblems delegated to the PQ-tree base solver.
-    pub pq_base_cases: usize,
     /// Tutte decompositions computed (Steps 3/4).
     pub decompositions: usize,
     /// Total members across all decompositions.
@@ -79,7 +77,6 @@ impl SolveStats {
         self.case1 += other.case1;
         self.case2 += other.case2;
         self.base_cases += other.base_cases;
-        self.pq_base_cases += other.pq_base_cases;
         self.decompositions += other.decompositions;
         self.members += other.members;
         self.fast_merges += other.fast_merges;

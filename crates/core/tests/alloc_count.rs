@@ -42,7 +42,7 @@ fn divide_path_stays_allocation_lean() {
     );
     // paranoid verification allocates per subproblem and is debug-only
     // noise — turn it off so debug and release measure the same solver.
-    let cfg = Config { pq_base_threshold: 0, paranoid: false, ..Config::default() };
+    let cfg = Config { paranoid: false, ..Config::default() };
     let before = ALLOCS.load(Ordering::Relaxed);
     let (order, stats) = c1p_core::solve_with(&ens, &cfg);
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;

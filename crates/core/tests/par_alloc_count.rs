@@ -8,7 +8,7 @@
 //! forks or the fan-out starts cloning columns. Measured after a warm-up run so one-time pool and
 //! thread-local initialization stays out of the count.
 
-use c1p_core::parallel::solve_par;
+use c1p_core::parallel::{solve_par, with_threads};
 use c1p_core::Config;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -44,8 +44,8 @@ fn parallel_path_stays_allocation_lean() {
     );
     // force real forking even on a single-core host: explicit cutoff,
     // 4-worker pool (paranoid off so debug and release measure alike)
-    let cfg = Config { pq_base_threshold: 0, paranoid: false, seq_cutoff: 256 };
-    c1p_pram::with_threads(4, || {
+    let cfg = Config { paranoid: false, seq_cutoff: 256 };
+    with_threads(4, || {
         let (order, _) = c1p_core::parallel::solve_par_with(&ens, &cfg);
         assert!(order.is_ok(), "warm-up solve must accept");
         let before = ALLOCS.load(Ordering::Relaxed);

@@ -10,7 +10,7 @@
 //! results are consumed in a fixed order, so any divergence here means
 //! a data race or a scheduling-dependent code path.
 
-use c1p_core::parallel::{solve_par, solve_par_with};
+use c1p_core::parallel::{solve_par, solve_par_with, with_threads};
 use c1p_core::{solve, solve_with, Config, SolveStats};
 use c1p_matrix::generate::{planted_c1p, PlantedShape};
 use c1p_matrix::tucker;
@@ -30,7 +30,6 @@ fn assert_same_counters(got: &SolveStats, expect: &SolveStats, what: &str) {
             ("case1", s.case1),
             ("case2", s.case2),
             ("base_cases", s.base_cases),
-            ("pq_base_cases", s.pq_base_cases),
             ("decompositions", s.decompositions),
             ("members", s.members),
             ("fast_merges", s.fast_merges),
@@ -70,7 +69,7 @@ fn accepts_agree_with_sequential_across_thread_counts() {
         let (expect, seq) = solve_with(&ens, &Config::default());
         let expect = expect.expect("planted instance accepted");
         for t in THREADS {
-            let (got, stats) = c1p_pram::with_threads(t, || solve_par(&ens));
+            let (got, stats) = with_threads(t, || solve_par(&ens));
             let got = got.unwrap_or_else(|_| panic!("n={n} t={t}: parallel driver rejected"));
             assert_eq!(got, expect, "n={n} t={t}: order diverged from sequential");
             assert!(stats.cost.work > 0 && stats.cost.depth > 0, "n={n} t={t}");
@@ -91,7 +90,7 @@ fn rejects_agree_with_sequential_across_thread_counts() {
         let expect = solve(&bad).expect_err("obstruction must be rejected");
         let (_, seq) = solve_with(&bad, &Config::default());
         for t in THREADS {
-            let (got, stats) = c1p_pram::with_threads(t, || solve_par(&bad));
+            let (got, stats) = with_threads(t, || solve_par(&bad));
             let rej = got.expect_err("parallel driver must reject");
             assert_eq!(rej.atoms, expect.atoms, "seed {seed} t={t}: evidence diverged");
             // the rejecting component counts its work up to the rejection
@@ -102,7 +101,7 @@ fn rejects_agree_with_sequential_across_thread_counts() {
     // the bare generators, swept too (tiny: exercises the base cases)
     for (name, ens) in tucker::small_obstructions() {
         for t in THREADS {
-            let (got, _) = c1p_pram::with_threads(t, || solve_par(&ens));
+            let (got, _) = with_threads(t, || solve_par(&ens));
             assert!(got.is_err(), "{name} t={t}: must reject");
         }
     }
@@ -120,32 +119,9 @@ fn explicit_and_auto_cutoffs_agree() {
     for t in [2usize, 4] {
         for cutoff in [0usize, 32, 512, Config::AUTO_CUTOFF] {
             let cfg = Config { seq_cutoff: cutoff, ..Config::default() };
-            let (got, stats) = c1p_pram::with_threads(t, || solve_par_with(&ens, &cfg));
+            let (got, stats) = with_threads(t, || solve_par_with(&ens, &cfg));
             assert_eq!(got.unwrap(), expect, "t={t} cutoff={cutoff:#x}");
             assert_same_counters(&stats, &seq, &format!("t={t} cutoff={cutoff:#x}"));
-        }
-    }
-}
-
-#[test]
-fn fast_profile_agrees_with_sequential_across_thread_counts() {
-    // the PQ-tree base case at 32 atoms: the recursion stops early, on
-    // accepts and rejects alike, under every policy
-    let cfg = Config::fast();
-    let mut rng = SmallRng::seed_from_u64(21);
-    let (ens, _) = planted_c1p(
-        PlantedShape { n_atoms: 1500, n_columns: 3000, min_len: 2, max_len: 502 },
-        &mut rng,
-    );
-    let mut cases = vec![ens];
-    cases.extend(obstruction_cases().into_iter().map(|(_, bad)| bad));
-    for (case, ens) in cases.iter().enumerate() {
-        let (expect, seq) = solve_with(ens, &cfg);
-        assert!(seq.pq_base_cases > 0, "case {case}: the PQ-tree base case runs");
-        for t in THREADS {
-            let (got, stats) = c1p_pram::with_threads(t, || solve_par_with(ens, &cfg));
-            assert_eq!(got, expect, "case {case} t={t}: verdict diverged");
-            assert_same_counters(&stats, &seq, &format!("fast case {case} t={t}"));
         }
     }
 }

@@ -4,19 +4,86 @@
 //! semantics exactly:
 //!
 //! 1. `prepare_split` is compared column-by-column against the seed's
-//!    nested-vec divide (`c1p_bench::naive` — the one canonical copy,
-//!    shared with the benchmarks), including its `sort_unstable` —
-//!    which the monotone-renumbering argument says is the identity on
-//!    already-sorted projections, and these tests confirm it.
+//!    nested-vec divide (kept below as this test's private reference),
+//!    including its `sort_unstable` — which the monotone-renumbering
+//!    argument says is the identity on already-sorted projections, and
+//!    these tests confirm it.
 //! 2. The whole solver is compared against the independent Booth–Lueker
 //!    baseline (`c1p-pqtree`) on random ensembles — accept and reject
 //!    paths — plus exhaustive small instances.
 
-use c1p_bench::naive::{naive_prepare_split, NaiveSub};
 use c1p_core::solver::{prepare_split, SubProblem};
-use c1p_core::{Config, FlatCols};
+use c1p_core::FlatCols;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
+
+// ---------------------------------------------------------------------
+// the reference: the seed's nested-vec divide, including the per-level
+// `sort_unstable` the CSR path proved redundant
+// ---------------------------------------------------------------------
+
+/// Nested-vec subproblem (the seed representation).
+struct NaiveSub {
+    n: usize,
+    cols: Vec<Vec<u32>>,
+}
+
+/// One split column: segment part, host part, crossing class
+/// (0 = type a, 1 = type b, 2 = type c).
+struct NaiveSplitColumn {
+    seg_part: Vec<u32>,
+    host_part: Vec<u32>,
+    ty: u8,
+}
+
+/// The seed's `prepare_split`: per-column heap vectors, then projection
+/// with a sort per kept column.
+fn naive_prepare_split(sub: &NaiveSub, a1: &[u32]) -> (Vec<NaiveSplitColumn>, NaiveSub, NaiveSub) {
+    let k = sub.n;
+    let mut in_a1 = vec![false; k];
+    for &a in a1 {
+        in_a1[a as usize] = true;
+    }
+    let a2: Vec<u32> = (0..k as u32).filter(|&a| !in_a1[a as usize]).collect();
+    let mut split_cols: Vec<NaiveSplitColumn> = Vec::with_capacity(sub.cols.len());
+    for col in &sub.cols {
+        let (mut seg_part, mut host_part) = (Vec::new(), Vec::new());
+        for &a in col {
+            if in_a1[a as usize] {
+                seg_part.push(a);
+            } else {
+                host_part.push(a);
+            }
+        }
+        let ty = if host_part.is_empty() || seg_part.is_empty() {
+            2
+        } else if seg_part.len() == a1.len() {
+            0
+        } else {
+            1
+        };
+        split_cols.push(NaiveSplitColumn { seg_part, host_part, ty });
+    }
+    let project = |atoms: &[u32], seg_side: bool| -> NaiveSub {
+        let mut place = vec![u32::MAX; atoms.iter().map(|&a| a as usize + 1).max().unwrap_or(0)];
+        for (i, &a) in atoms.iter().enumerate() {
+            place[a as usize] = i as u32;
+        }
+        let mut cols = Vec::new();
+        for sc in &split_cols {
+            let part = if seg_side { &sc.seg_part } else { &sc.host_part };
+            if part.len() >= 2 && part.len() < atoms.len() {
+                let mut local: Vec<u32> = part.iter().map(|&a| place[a as usize]).collect();
+                local.sort_unstable();
+                cols.push(local);
+            }
+        }
+        NaiveSub { n: atoms.len(), cols }
+    };
+    let sub1 = project(a1, true);
+    let sub2 = project(&a2, false);
+    (split_cols, sub1, sub2)
+}
 
 // ---------------------------------------------------------------------
 // layer 1: the divide against the seed's nested-vec semantics
@@ -235,7 +302,7 @@ fn solver_matches_pqtree_on_planted_with_noise() {
         // clean planted: must accept
         assert!(c1p_core::solve(&ens).is_ok(), "seed {seed}: clean planted rejected");
         // flip a handful of random entries; whatever the verdict, it must
-        // match the PQ-tree baseline (both fast() and pure configurations)
+        // match the PQ-tree baseline
         let mut mat = ens.to_matrix();
         for _ in 0..4 {
             let r = rng.random_range(0..mat.n_rows());
@@ -245,9 +312,7 @@ fn solver_matches_pqtree_on_planted_with_noise() {
         let noisy = mat.to_ensemble();
         let pq = c1p_pqtree::solve(noisy.n_atoms(), noisy.columns()).is_some();
         let pure = c1p_core::solve(&noisy).is_ok();
-        let fast = c1p_core::solve_with(&noisy, &Config::fast()).0.is_ok();
         assert_eq!(pure, pq, "seed {seed}: pure divide-and-conquer vs pqtree");
-        assert_eq!(fast, pq, "seed {seed}: pq-base-case config vs pqtree");
     }
 }
 

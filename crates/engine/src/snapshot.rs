@@ -10,8 +10,9 @@
 //! entry    := klen u32 LE | key (C1PW ensemble wire bytes)
 //!           | vlen u32 LE | verdict (C1PW verdict wire bytes)
 //!           | site u8 | natoms u32 LE | atoms (u32 LE)*
-//!              -- site 0 on accepts (no atoms); 1..=3 on rejects, carrying
-//!              -- the engine-side rejection evidence the wire verdict drops
+//!              -- site 0 on accepts (no atoms); on rejects 2 = Merge or
+//!              -- 3 = Align, carrying the engine-side rejection evidence
+//!              -- the wire verdict drops; 1 is unassigned and refused
 //! ```
 //!
 //! **Atomicity:** [`write()`] builds the whole image in memory, writes it to
@@ -54,7 +55,6 @@ pub struct SnapshotDamage {
 
 fn site_tag(site: RejectSite) -> u8 {
     match site {
-        RejectSite::PqBase => 1,
         RejectSite::Merge => 2,
         RejectSite::Align => 3,
     }
@@ -62,7 +62,6 @@ fn site_tag(site: RejectSite) -> u8 {
 
 fn site_from_tag(tag: u8) -> Option<RejectSite> {
     match tag {
-        1 => Some(RejectSite::PqBase),
         2 => Some(RejectSite::Merge),
         3 => Some(RejectSite::Align),
         _ => None,
@@ -319,6 +318,25 @@ mod tests {
                 assert!(decode(&bad).is_err(), "bit flip at byte {i} must be refused");
             }
         }
+    }
+
+    #[test]
+    fn unassigned_site_tag_is_refused() {
+        // tag 1 names no rejection site; a checksum-valid image carrying
+        // it is damage, not a verdict
+        let entries = sample_entries();
+        let refs: Vec<(&[u8], &Verdict)> = entries.iter().map(|(k, v)| (k.as_slice(), v)).collect();
+        let image = encode(&refs);
+        let mut body = image[..image.len() - 8].to_vec();
+        // the reject entry is last: its site byte sits before the atom
+        // count and its three atoms
+        let at = body.len() - 4 - 3 * 4 - 1;
+        assert_eq!(body[at], 2, "the sample rejects at Merge");
+        body[at] = 1;
+        let crc = fnv1a(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        let damage = decode(&body).unwrap_err();
+        assert!(damage.reason.contains("unknown rejection site 1"), "{}", damage.reason);
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn drive(
     par_cutoff: usize,
 ) -> Vec<Result<Vec<Atom>, (c1p_core::Rejection, c1p_cert::TuckerWitness)>> {
     let n = stream.n_atoms;
-    let pool = c1p_pram::pool(threads);
+    let pool = c1p_core::parallel::pool(threads);
     let mut inc = IncrementalSolver::with_config(n, cfg, par_cutoff);
     let mut accepted: Vec<Vec<Atom>> = Vec::new();
     let mut out = Vec::new();
@@ -183,7 +183,8 @@ fn cyclic_host_alignment_stream_is_accepted_everywhere() {
     let expect = c1p_core::solve(&all).expect("the planted stream is C1P");
     assert_eq!(inc.order(), expect.as_slice(), "session order differs from one-shot solve");
     for threads in [1usize, 2, 4] {
-        let (got, _) = c1p_pram::with_threads(threads, || c1p_core::parallel::solve_par(&all));
+        let (got, _) =
+            c1p_core::parallel::with_threads(threads, || c1p_core::parallel::solve_par(&all));
         assert_eq!(got.expect("solve_par accepts"), expect, "{threads} threads");
     }
 }

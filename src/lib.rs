@@ -12,9 +12,8 @@
 //! | [`matrix`] | ensembles, verifiers, Tucker transform/obstructions, workload generators |
 //! | [`graph`] | multigraphs, 2-connectivity, Whitney switches, reference Tutte decomposition |
 //! | [`tutte`] | fast Tutte decomposition of gp-realizations (interlacement classes) |
-//! | [`pram`] | work/depth-instrumented PRAM primitives on rayon |
 //! | [`pqtree`] | the Booth–Lueker baseline |
-//! | [`core_alg`] | the paper's `Path-Realization` algorithm, sequential and parallel |
+//! | [`core_alg`] | the paper's `Path-Realization` algorithm, sequential and parallel, with its modelled PRAM cost |
 //! | [`cert`] | Tucker-witness rejection certificates |
 //! | [`incremental`] | streaming sessions with differential re-solve and rollback |
 //! | [`engine`] | batched, caching solve service + the `c1pd` wire front-end |
@@ -62,9 +61,6 @@ pub use c1p_graph as graph;
 
 /// Fast Tutte decomposition of gp-realizations.
 pub use c1p_tutte as tutte;
-
-/// PRAM cost model and parallel primitives.
-pub use c1p_pram as pram;
 
 /// The Booth–Lueker PQ-tree baseline.
 pub use c1p_pqtree as pqtree;
