@@ -25,6 +25,12 @@
 //!             [--trace-sample N] [--slow-ms MS] [--expect-traces]
 //! ```
 //!
+//! Each mode accepts exactly the flags listed for it (`--mode solve` names
+//! the default mode). An unknown or repeated flag, a stray argument, a
+//! value flag given no value, a non-numeric number or an unknown mode
+//! exits 2 before anything connects or spawns, so a misspelt gate flag
+//! fails the run instead of silently dropping its gate.
+//!
 //! **Solve mode** (default) generates a deterministic mixed accept/reject
 //! schedule from the shared workload generator
 //! (`c1p_matrix::generate::mixed_schedule` — the same definition
@@ -55,15 +61,22 @@
 //! their +Inf total must equal `_count`, which must cover every request
 //! the driver completed.
 //!
-//! **Session mode** replays deterministic append streams
-//! (`c1p_matrix::generate::append_stream{,_reject}`) through the
-//! `OpenSession`/`PushAtoms`/`SealSession` frames: every `--reject-every`-th
-//! stream carries one planted Tucker obstruction, whose push must come
-//! back rejected (and rolled back server-side) while every other verdict
-//! accepts. The client mirrors each session with an incremental
+//! **The stream modes** — sessions, crash and chaos — replay the same
+//! seeded append streams (`c1p_matrix::generate::append_stream{,_reject}`,
+//! built by [`PlanSpec::plans`]) through the
+//! `OpenSession`/`PushAtoms`/`SealSession` frames: every
+//! `--reject-every`-th stream carries one planted Tucker obstruction,
+//! whose push must come back rejected (and rolled back server-side)
+//! while every other verdict accepts. All three audit through one
+//! checker, [`StreamCheck`]: it mirrors each session with an incremental
 //! Booth–Lueker reducer (`c1p_pqtree::Reducer`) to predict every verdict
-//! independently, and gates the sealed order on **bit-identical agreement
+//! independently, verifies each served verdict against the concatenated
+//! instance, and gates the sealed order on **bit-identical agreement
 //! with an in-process one-shot solve** of the accepted concatenation.
+//! The modes differ only in transport and in what they count besides.
+//!
+//! **Session mode** drives the streams over plain connections (one
+//! [`Link`] per `--conns`); a protocol error abandons that stream.
 //!
 //! **Crash mode** is the durability harness (DESIGN.md §10): the driver
 //! spawns `c1pd` itself (`--server` names the binary) on a shared
@@ -101,25 +114,98 @@
 
 use c1p_cert::{verify_witness, TuckerWitness};
 use c1p_engine::proto::{decode_msg, encode_msg, read_frame, write_frame, Msg, DEFAULT_MAX_FRAME};
-use c1p_matrix::generate::{append_stream, append_stream_reject, mixed_schedule, MixedSchedule};
+use c1p_matrix::generate::{
+    append_stream, append_stream_reject, mixed_schedule, AppendStream, MixedSchedule,
+};
 use c1p_matrix::io::WireVerdict;
 use c1p_matrix::{verify_linear, Atom, Ensemble};
+use c1p_net::client::{Client, ClientError, PushOutcome, RetryPolicy, SealOutcome};
+use c1p_pqtree::Reducer;
+use std::fmt::Display;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+fn main() {
+    let mut f = Flags::new(std::env::args().skip(1).collect());
+    match f.value("--mode").as_deref() {
+        None | Some("solve") => solve_main(f),
+        Some("sessions") => sessions_main(f),
+        Some("crash") => crash_main(f),
+        Some("chaos") => chaos_main(f),
+        Some(other) => {
+            usage(&format!("unknown --mode {other:?} (solve, sessions, crash or chaos)"))
+        }
+    }
 }
 
-fn num_flag(args: &[String], name: &str, default: u64) -> u64 {
-    flag(args, name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| panic!("{name} takes a number, got {v:?}"))
-    })
+// ---------------------------------------------------------------------
+// command line
+// ---------------------------------------------------------------------
+
+/// One mode's command line, claimed flag by flag: an argument no read
+/// claims is one this mode does not know, and [`Flags::finish`] rejects
+/// it. Reading a flag is what declares it, so the accepted set cannot
+/// drift from the set a mode uses.
+struct Flags {
+    args: Vec<String>,
+    claimed: Vec<bool>,
 }
 
+impl Flags {
+    fn new(args: Vec<String>) -> Flags {
+        let claimed = vec![false; args.len()];
+        Flags { args, claimed }
+    }
+
+    fn value(&mut self, name: &str) -> Option<String> {
+        let i = self.args.iter().position(|a| a == name)?;
+        match self.args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => {
+                self.claimed[i] = true;
+                self.claimed[i + 1] = true;
+                Some(v.clone())
+            }
+            _ => usage(&format!("{name} needs a value")),
+        }
+    }
+
+    fn required(&mut self, name: &str, what: &str) -> String {
+        self.value(name).unwrap_or_else(|| usage(&format!("{name} {what} is required")))
+    }
+
+    fn num(&mut self, name: &str, default: u64) -> u64 {
+        self.value(name).map_or(default, |v| {
+            v.parse().unwrap_or_else(|_| usage(&format!("{name} takes a number, got {v:?}")))
+        })
+    }
+
+    fn switch(&mut self, name: &str) -> bool {
+        let at = self.args.iter().position(|a| a == name);
+        at.map(|i| self.claimed[i] = true).is_some()
+    }
+
+    /// Rejects the first argument no read claimed.
+    fn finish(self) {
+        if let Some(i) = self.claimed.iter().position(|&c| !c) {
+            usage(&format!("unknown, repeated or stray argument {:?}", self.args[i]));
+        }
+    }
+}
+
+fn usage(msg: &str) -> ! {
+    eprintln!("load_driver: {msg}");
+    std::process::exit(2);
+}
+
+// ---------------------------------------------------------------------
+// tally and shared gates
+// ---------------------------------------------------------------------
+
+/// The counts every mode keeps.
 #[derive(Default)]
 struct Tally {
     protocol_errors: AtomicU64,
@@ -128,177 +214,381 @@ struct Tally {
     completed: AtomicU64,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match flag(&args, "--mode").as_deref() {
-        Some("sessions") => return sessions_main(&args),
-        Some("crash") => return crash_main(&args),
-        Some("chaos") => return chaos_main(&args),
-        _ => {}
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+fn get(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+impl Tally {
+    /// Prints the failure counts, then the mode's own `extra` field.
+    fn report(&self, extra: &str) {
+        println!(
+            "protocol errors {} | verify failures {} | disagreements {} | {extra}",
+            get(&self.protocol_errors),
+            get(&self.verify_failures),
+            get(&self.disagreements),
+        );
     }
-    let addr = flag(&args, "--addr").expect("--addr HOST:PORT is required");
-    if args.iter().any(|a| a == "--dump-metrics") {
-        // scrape-and-print: fetch one GetMetrics frame and exit
-        match fetch_metrics(&addr) {
-            Some(dump) => {
-                print!("{dump}");
-                return;
-            }
-            None => {
-                eprintln!("FAIL: could not fetch the GetMetrics dump");
-                std::process::exit(1);
-            }
+
+    /// The gates every mode shares: no protocol error, every operation
+    /// settled (when the mode knows how many it sent), no failed
+    /// client-side verification and no disagreement. Each mode adds its
+    /// own gates after these.
+    fn passes(&self, expected_ops: Option<u64>) -> bool {
+        let mut ok = true;
+        let missing = expected_ops.is_some_and(|n| get(&self.completed) != n);
+        if missing || get(&self.protocol_errors) > 0 {
+            eprintln!("FAIL: protocol errors or missing responses");
+            ok = false;
+        }
+        if get(&self.verify_failures) > 0 {
+            eprintln!("FAIL: client-side verification failures");
+            ok = false;
+        }
+        if get(&self.disagreements) > 0 {
+            eprintln!("FAIL: verdict disagreement with the in-process solve or the PQ mirror");
+            ok = false;
+        }
+        ok
+    }
+}
+
+/// Exits 1 unless `ok`; prints the mode's success line otherwise.
+fn conclude(ok: bool, success: &str) {
+    if !ok {
+        std::process::exit(1);
+    }
+    println!("{success}");
+}
+
+/// Whether a served verdict checks out without the solver: an order by
+/// `verify_linear`, a rejection by its Tucker witness.
+fn verifies(ens: &Ensemble, verdict: &WireVerdict) -> bool {
+    match verdict {
+        WireVerdict::Accept { order } => verify_linear(ens, order).is_ok(),
+        WireVerdict::Reject { family, atom_rows, column_ids } => {
+            let witness = TuckerWitness {
+                family: *family,
+                atom_rows: atom_rows.clone(),
+                column_ids: column_ids.clone(),
+            };
+            verify_witness(ens, &witness).is_ok()
         }
     }
-    if args.iter().any(|a| a == "--dump-traces") {
-        // print the server's retained traces as JSONL and exit
-        match fetch_traces(&addr) {
-            Some(jsonl) => {
-                print!("{jsonl}");
-                return;
-            }
-            None => {
-                eprintln!("FAIL: could not fetch the GetTraces dump");
-                std::process::exit(1);
-            }
-        }
+}
+
+/// Client-side check of a one-shot verdict: it must verify and agree
+/// with the expected answer. Returns whether both held.
+fn check_verdict(ens: &Ensemble, expect_c1p: bool, verdict: &WireVerdict, tally: &Tally) -> bool {
+    let verified = verifies(ens, verdict);
+    let agrees = matches!(verdict, WireVerdict::Accept { .. }) == expect_c1p;
+    if !verified {
+        bump(&tally.verify_failures);
     }
-    let requests = num_flag(&args, "--requests", 500) as usize;
-    let conns = (num_flag(&args, "--conns", 4) as usize).max(1);
-    let seed = num_flag(&args, "--seed", 1);
-    let dup_every = num_flag(&args, "--dup-every", 3) as usize;
-    let reject_every = num_flag(&args, "--reject-every", 4) as usize;
-    let n_lo = num_flag(&args, "--n-lo", 48) as usize;
-    let n_hi = num_flag(&args, "--n-hi", 160) as usize;
-    let expect_hits = args.iter().any(|a| a == "--expect-hits");
-    let expect_metrics = args.iter().any(|a| a == "--expect-metrics");
-    let expect_traces = args.iter().any(|a| a == "--expect-traces");
-    let open_loop = args.iter().any(|a| a == "--open-loop");
-    let idle_conns = num_flag(&args, "--idle-conns", 0) as usize;
+    if !agrees {
+        bump(&tally.disagreements);
+    }
+    verified && agrees
+}
+
+/// `latency p50 …us p90 …us p99 …us` over round trips in µs.
+fn percentiles(mut us: Vec<u64>) -> String {
+    us.sort_unstable();
+    let pct =
+        |p: f64| if us.is_empty() { 0 } else { us[((us.len() - 1) as f64 * p).round() as usize] };
+    let [p50, p90, p99] = [0.50, 0.90, 0.99].map(pct);
+    format!("latency p50 {p50}us p90 {p90}us p99 {p99}us")
+}
+
+// ---------------------------------------------------------------------
+// the plain link
+// ---------------------------------------------------------------------
+
+/// One plain framed connection that never retries or reconnects, so a
+/// transport failure lands in the caller's counts instead of being
+/// papered over. Every mode but chaos talks through it; chaos mode uses
+/// the retrying `c1p_net::client::Client`.
+struct Link {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+    /// Round trip of every completed [`Link::call`], in µs.
+    rtts_us: Vec<u64>,
+}
+
+impl Link {
+    fn connect(addr: &str) -> std::io::Result<Link> {
+        Link::over(TcpStream::connect(addr)?)
+    }
+
+    fn over(stream: TcpStream) -> std::io::Result<Link> {
+        stream.set_nodelay(true).ok();
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(Link { reader, writer: BufWriter::new(stream), rtts_us: Vec::new() })
+    }
+
+    /// A second link on the same socket (the open-loop writer's).
+    fn try_clone(&self) -> std::io::Result<Link> {
+        Link::over(self.writer.get_ref().try_clone()?)
+    }
+
+    /// Writes pre-encoded frames and flushes.
+    fn send(&mut self, frames: &[u8]) -> bool {
+        self.writer.write_all(frames).and_then(|()| self.writer.flush()).is_ok()
+    }
+
+    /// The next reply; `None` on EOF, a transport error or an
+    /// undecodable frame.
+    fn recv(&mut self) -> Option<Msg> {
+        decode_msg(&read_frame(&mut self.reader, DEFAULT_MAX_FRAME).ok()??).ok()
+    }
+
+    /// One request, one reply.
+    fn call(&mut self, msg: &Msg) -> Option<Msg> {
+        let t0 = Instant::now();
+        write_frame(&mut self.writer, &encode_msg(msg)).and_then(|()| self.writer.flush()).ok()?;
+        let reply = self.recv()?;
+        self.rtts_us.push(t0.elapsed().as_micros() as u64);
+        Some(reply)
+    }
+}
+
+/// One request over a fresh link: the one-shot probes' exchange.
+fn ask(addr: &str, msg: &Msg) -> Option<Msg> {
+    Link::connect(addr).ok()?.call(msg)
+}
+
+/// Retries a one-shot probe up to 10 times, 50 ms apart: under chaos
+/// mode's socket faults a failed probe connection proves nothing about
+/// the server.
+fn retried<T>(mut probe: impl FnMut() -> Option<T>) -> Option<T> {
+    for _ in 0..10 {
+        if let Some(v) = probe() {
+            return Some(v);
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    None
+}
+
+fn fetch_metrics(addr: &str) -> Option<String> {
+    match ask(addr, &Msg::GetMetrics)? {
+        Msg::Metrics { text } => Some(text),
+        _ => None,
+    }
+}
+
+fn fetch_traces(addr: &str) -> Option<String> {
+    match ask(addr, &Msg::GetTraces)? {
+        Msg::Traces { jsonl } => Some(jsonl),
+        _ => None,
+    }
+}
+
+/// Queries the server's stats frame and scans one integer field out of
+/// the JSON (the driver carries no JSON parser by design).
+fn fetch_stat(addr: &str, key: &str) -> Option<i64> {
+    let Msg::Stats { json } = ask(addr, &Msg::GetStats)? else {
+        return None;
+    };
+    let quoted = format!("\"{key}\":");
+    let rest = json[json.find(&quoted)? + quoted.len()..].trim_start();
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Polls a stats counter until it reaches `min` (10s cap).
+fn wait_stat_at_least(addr: &str, key: &str, min: i64) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Instant::now() < deadline {
+        if fetch_stat(addr, key).unwrap_or(-1) >= min {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    false
+}
+
+/// Prints the server's durability counters (zeros on a non-durable server).
+fn print_durability(addr: &str) {
+    let stat = |key: &str| fetch_stat(addr, key).unwrap_or(-1);
+    println!(
+        "durability: wal appends {} | wal fsyncs {} | recovered sessions {} | \
+         quarantined wals {} | snapshot writes {} | warm-start hits {}",
+        stat("wal_appends"),
+        stat("wal_fsyncs"),
+        stat("recovered_sessions"),
+        stat("quarantined_wals"),
+        stat("snapshot_writes"),
+        stat("warm_start_hits"),
+    );
+}
+
+/// Solves the warm-start probe over a fresh link and checks the verdict
+/// client-side.
+fn solve_probe(addr: &str, probe: &Ensemble, tally: &Tally) -> bool {
+    match ask(addr, &Msg::Solve { id: 1, ens: probe.clone() }) {
+        Some(Msg::Verdict { id: 1, verdict }) => check_verdict(probe, true, &verdict, tally),
+        _ => false,
+    }
+}
+
+/// Runs `drive(c)` for every connection `c` on its own thread and
+/// concatenates what they return (round trips).
+fn fan_out(conns: usize, drive: impl Fn(usize) -> Vec<u64> + Sync) -> Vec<u64> {
+    std::thread::scope(|scope| {
+        let drive = &drive;
+        let threads: Vec<_> = (0..conns).map(|c| scope.spawn(move || drive(c))).collect();
+        threads.into_iter().flat_map(|t| t.join().expect("driver thread panicked")).collect()
+    })
+}
+
+// ---------------------------------------------------------------------
+// solve mode
+// ---------------------------------------------------------------------
+
+fn solve_main(mut f: Flags) {
+    let addr = f.required("--addr", "HOST:PORT");
+    let dump_metrics = f.switch("--dump-metrics");
+    let dump_traces = f.switch("--dump-traces");
+    let requests = f.num("--requests", 500) as usize;
+    let conns = (f.num("--conns", 4) as usize).max(1);
+    let seed = f.num("--seed", 1);
+    let dup_every = f.num("--dup-every", 3) as usize;
+    let reject_every = f.num("--reject-every", 4) as usize;
+    let n_lo = f.num("--n-lo", 48) as usize;
+    let n_hi = f.num("--n-hi", 160) as usize;
+    let expect_hits = f.switch("--expect-hits");
+    let expect_metrics = f.switch("--expect-metrics");
+    let expect_traces = f.switch("--expect-traces");
+    let open_loop = f.switch("--open-loop");
+    let idle_conns = f.num("--idle-conns", 0) as usize;
+    f.finish();
+
+    if dump_metrics || dump_traces {
+        // scrape-and-print: fetch one dump frame and exit
+        let (dump, frame) = if dump_metrics {
+            (fetch_metrics(&addr), "GetMetrics")
+        } else {
+            (fetch_traces(&addr), "GetTraces")
+        };
+        let Some(dump) = dump else {
+            eprintln!("FAIL: could not fetch the {frame} dump");
+            std::process::exit(1);
+        };
+        print!("{dump}");
+        return;
+    }
 
     // deterministic schedule (shared definition: c1p_matrix::generate) +
     // in-process expected verdicts
     let schedule =
         mixed_schedule(MixedSchedule { requests, seed, dup_every, reject_every, n_lo, n_hi });
     let expected: Vec<bool> = schedule.iter().map(|e| c1p_core::solve(e).is_ok()).collect();
+    let accepts = expected.iter().filter(|&&b| b).count();
     println!(
-        "load_driver: {} requests ({} accept / {} reject expected), {} connection(s){}{}, seed {}",
-        requests,
-        expected.iter().filter(|&&b| b).count(),
-        expected.iter().filter(|&&b| !b).count(),
-        conns,
+        "load_driver: {requests} requests ({accepts} accept / {} reject expected), \
+         {conns} connection(s){}{}, seed {seed}",
+        requests - accepts,
         if open_loop { " open-loop" } else { "" },
         if idle_conns > 0 { format!(" + {idle_conns} idle") } else { String::new() },
-        seed,
     );
 
     // idle connections: opened first, held for the whole run, never
     // written to — an event loop carries them for the cost of a pollfd,
     // a thread-per-connection server for a blocked thread each
-    let idle: Vec<TcpStream> = (0..idle_conns)
+    let idle: Vec<Link> = (0..idle_conns)
         .map(|i| {
-            let s = TcpStream::connect(&addr)
-                .unwrap_or_else(|e| panic!("load_driver: idle connection {i}: {e}"));
-            s.set_nodelay(true).ok();
-            s
+            Link::connect(&addr).unwrap_or_else(|e| panic!("load_driver: idle connection {i}: {e}"))
         })
         .collect();
 
-    let tally = Arc::new(Tally::default());
-    let schedule = Arc::new(schedule);
-    let expected = Arc::new(expected);
+    let tally = Tally::default();
     let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..conns {
-        let (schedule, expected, tally, addr) =
-            (Arc::clone(&schedule), Arc::clone(&expected), Arc::clone(&tally), addr.clone());
-        handles.push(std::thread::spawn(move || {
-            if open_loop {
-                drive_connection_open_loop(c, conns, &addr, &schedule, &expected, &tally)
-            } else {
-                drive_connection(c, conns, &addr, &schedule, &expected, &tally)
-            }
-        }));
-    }
-    let mut latencies_us: Vec<u64> = Vec::with_capacity(requests);
-    for h in handles {
-        latencies_us.extend(h.join().expect("driver thread panicked"));
-    }
-    let wall = t0.elapsed();
+    let latencies =
+        fan_out(conns, |c| drive_solves(&addr, c, conns, &schedule, &expected, open_loop, &tally));
+    let wall = t0.elapsed().as_secs_f64();
 
-    // engine-side stats over a fresh connection
-    let hits = fetch_stat(&addr, "\"hits\":").unwrap_or(-1);
-    let completed = tally.completed.load(Ordering::Relaxed);
-    let protocol_errors = tally.protocol_errors.load(Ordering::Relaxed);
-    let verify_failures = tally.verify_failures.load(Ordering::Relaxed);
-    let disagreements = tally.disagreements.load(Ordering::Relaxed);
-
-    latencies_us.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies_us.is_empty() {
-            return 0;
-        }
-        let ix = ((latencies_us.len() - 1) as f64 * p).round() as usize;
-        latencies_us[ix]
-    };
+    let hits = fetch_stat(&addr, "hits").unwrap_or(-1);
+    let completed = get(&tally.completed);
+    let rate = completed as f64 / wall.max(1e-9);
     if open_loop {
         // pipelined sends make per-request round-trips meaningless;
         // throughput is the number that matters here
-        println!(
-            "completed {completed}/{requests} in {:.2}s ({:.0} req/s, open loop)",
-            wall.as_secs_f64(),
-            completed as f64 / wall.as_secs_f64().max(1e-9),
-        );
+        println!("completed {completed}/{requests} in {wall:.2}s ({rate:.0} req/s, open loop)");
     } else {
-        println!(
-            "completed {completed}/{requests} in {:.2}s ({:.0} req/s) | \
-             latency p50 {}us p90 {}us p99 {}us",
-            wall.as_secs_f64(),
-            completed as f64 / wall.as_secs_f64().max(1e-9),
-            pct(0.50),
-            pct(0.90),
-            pct(0.99),
-        );
+        let lat = percentiles(latencies);
+        println!("completed {completed}/{requests} in {wall:.2}s ({rate:.0} req/s) | {lat}");
     }
     drop(idle);
-    println!(
-        "protocol errors {protocol_errors} | verify failures {verify_failures} | \
-         disagreements {disagreements} | server cache hits {hits}"
-    );
+    tally.report(&format!("server cache hits {hits}"));
     print_durability(&addr);
 
-    let mut failed = false;
-    if completed != requests as u64 || protocol_errors > 0 {
-        eprintln!("FAIL: protocol errors or missing responses");
-        failed = true;
-    }
-    if verify_failures > 0 {
-        eprintln!("FAIL: client-side verification failures");
-        failed = true;
-    }
-    if disagreements > 0 {
-        eprintln!("FAIL: verdict disagreement with in-process solve");
-        failed = true;
-    }
+    let mut ok = tally.passes(Some(requests as u64));
     if expect_hits && hits <= 0 {
         eprintln!("FAIL: expected a nonzero server cache hit count, got {hits}");
-        failed = true;
+        ok = false;
     }
-    if expect_metrics && !check_metrics(&addr, expect_hits, &[]) {
-        failed = true;
-    }
+    ok &= !expect_metrics || check_metrics(&addr, expect_hits, &[]);
     // the percentiles above are client-side clocks; the server's own
     // histogram must account for (at least) every request served
-    if !check_latency_agreement(&addr, completed) {
-        failed = true;
+    ok &= check_latency_agreement(&addr, completed);
+    ok &= !expect_traces || check_traces(&addr, false);
+    conclude(ok, "load_driver: all checks passed");
+}
+
+/// Sends connection `c`'s round-robin share of the schedule and checks
+/// every reply against the in-process verdict. Closed loop waits for each
+/// reply and returns the round trips. Open loop has a writer thread
+/// pipeline the whole share while this thread reads the replies back in
+/// order — the protocol's per-connection in-order guarantee makes the
+/// pairing exact — and returns no round trips, which mean nothing when
+/// requests queue behind each other in the socket.
+fn drive_solves(
+    addr: &str,
+    c: usize,
+    conns: usize,
+    schedule: &[Ensemble],
+    expected: &[bool],
+    open_loop: bool,
+    tally: &Tally,
+) -> Vec<u64> {
+    let mut link =
+        Link::connect(addr).unwrap_or_else(|e| panic!("load_driver: cannot connect {addr}: {e}"));
+    let share: Vec<usize> = (c..schedule.len()).step_by(conns).collect();
+    let request = |i: usize| Msg::Solve { id: i as u64, ens: schedule[i].clone() };
+    let writer = open_loop.then(|| {
+        // pre-encode the whole share so the writer thread owns plain
+        // bytes and the socket sees back-to-back frames
+        let mut burst = Vec::new();
+        for &i in &share {
+            write_frame(&mut burst, &encode_msg(&request(i))).expect("Vec write cannot fail");
+        }
+        let mut tx = link.try_clone().expect("clone stream");
+        std::thread::spawn(move || tx.send(&burst))
+    });
+    for &i in &share {
+        match if open_loop { link.recv() } else { link.call(&request(i)) } {
+            Some(Msg::Verdict { id, verdict }) if id == i as u64 => {
+                check_verdict(&schedule[i], expected[i], &verdict, tally);
+                bump(&tally.completed);
+            }
+            Some(other) => {
+                eprintln!("unexpected response to request {i}: {other:?}");
+                bump(&tally.protocol_errors);
+            }
+            None => {
+                bump(&tally.protocol_errors);
+                break;
+            }
+        }
     }
-    if expect_traces && !check_traces(&addr, false) {
-        failed = true;
+    if writer.is_some_and(|w| !w.join().expect("writer thread panicked")) {
+        bump(&tally.protocol_errors);
     }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("load_driver: all checks passed");
+    link.rtts_us
 }
 
 /// The `--expect-metrics` gate: fetches the plain-text dump and checks
@@ -307,7 +597,7 @@ fn main() {
 /// `extra` names more series the caller's load must have moved (chaos
 /// mode adds its fault/supervision counters).
 fn check_metrics(addr: &str, expect_hits: bool, extra: &[&str]) -> bool {
-    let Some(dump) = fetch_metrics_retry(addr, 10) else {
+    let Some(dump) = retried(|| fetch_metrics(addr)) else {
         eprintln!("FAIL: could not fetch the GetMetrics dump");
         return false;
     };
@@ -342,62 +632,10 @@ fn check_metrics(addr: &str, expect_hits: bool, extra: &[&str]) -> bool {
         }
     }
     if ok {
-        println!("metrics: all {} stable series present and exercised", dump.lines().count());
+        let names = c1p_net::metrics::STABLE_NAMES.len();
+        println!("metrics: all {names} stable series present and exercised");
     }
     ok
-}
-
-/// [`fetch_metrics`] with retries — chaos mode's socket faults can kill
-/// the scrape connection itself, which proves nothing about the server.
-fn fetch_metrics_retry(addr: &str, attempts: usize) -> Option<String> {
-    for _ in 0..attempts {
-        if let Some(dump) = fetch_metrics(addr) {
-            return Some(dump);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    None
-}
-
-/// Fetches the plain-text metrics dump over a fresh connection.
-fn fetch_metrics(addr: &str) -> Option<String> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
-    let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &encode_msg(&Msg::GetMetrics)).ok()?;
-    writer.flush().ok()?;
-    let payload = read_frame(&mut reader, DEFAULT_MAX_FRAME).ok()??;
-    match decode_msg(&payload) {
-        Ok(Msg::Metrics { text }) => Some(text),
-        _ => None,
-    }
-}
-
-/// Fetches the JSONL trace dump over a fresh connection.
-fn fetch_traces(addr: &str) -> Option<String> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
-    let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &encode_msg(&Msg::GetTraces)).ok()?;
-    writer.flush().ok()?;
-    let payload = read_frame(&mut reader, DEFAULT_MAX_FRAME).ok()??;
-    match decode_msg(&payload) {
-        Ok(Msg::Traces { jsonl }) => Some(jsonl),
-        _ => None,
-    }
-}
-
-/// [`fetch_traces`] with retries, for the same reason as
-/// [`fetch_metrics_retry`]: a chaos-faulted scrape connection proves
-/// nothing about the server.
-fn fetch_traces_retry(addr: &str, attempts: usize) -> Option<String> {
-    for _ in 0..attempts {
-        if let Some(jsonl) = fetch_traces(addr) {
-            return Some(jsonl);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    None
 }
 
 /// The `--expect-traces` gate: the server must have retained at least
@@ -406,7 +644,7 @@ fn fetch_traces_retry(addr: &str, attempts: usize) -> Option<String> {
 /// have tail-sampled at least one slow or error trace — the retention
 /// policy's whole point.
 fn check_traces(addr: &str, chaos: bool) -> bool {
-    let Some(jsonl) = fetch_traces_retry(addr, 10) else {
+    let Some(jsonl) = retried(|| fetch_traces(addr)) else {
         eprintln!("FAIL: could not fetch the GetTraces dump");
         return false;
     };
@@ -435,11 +673,8 @@ fn check_traces(addr: &str, chaos: bool) -> bool {
         eprintln!("FAIL: expected >= 3 solver phase spans across the traces, saw {phases}");
         ok = false;
     }
-    if chaos
-        && !lines
-            .iter()
-            .any(|l| l.contains("\"keep\":\"slow\"") || l.contains("\"keep\":\"error\""))
-    {
+    let tail_kept = |l: &&str| l.contains("\"keep\":\"slow\"") || l.contains("\"keep\":\"error\"");
+    if chaos && !lines.iter().any(tail_kept) {
         eprintln!("FAIL: a chaos run should tail-sample at least one slow/error trace");
         ok = false;
     }
@@ -455,7 +690,7 @@ fn check_traces(addr: &str, chaos: bool) -> bool {
 /// request this driver completed (`>=`, not `==`: the driver's own
 /// stats/metrics probes are frames too).
 fn check_latency_agreement(addr: &str, completed: u64) -> bool {
-    let Some(dump) = fetch_metrics_retry(addr, 10) else {
+    let Some(dump) = retried(|| fetch_metrics(addr)) else {
         eprintln!("FAIL: could not fetch metrics for the latency agreement check");
         return false;
     };
@@ -475,19 +710,18 @@ fn check_latency_agreement(addr: &str, completed: u64) -> bool {
             cumulative.push(v);
         }
     }
-    if cumulative.is_empty() {
+    let Some(&inf) = cumulative.last() else {
         eprintln!("FAIL: no frame latency buckets in the metrics dump");
         return false;
-    }
+    };
     let mut ok = true;
     if cumulative.windows(2).any(|w| w[0] > w[1]) {
         eprintln!("FAIL: latency buckets are not cumulative: {cumulative:?}");
         ok = false;
     }
-    let inf = *cumulative.last().expect("nonempty") as i64;
     let count =
         c1p_net::metrics::scrape(&dump, "c1pd_frame_latency_us_count").map_or(-1, |v| v as i64);
-    if inf != count {
+    if inf as i64 != count {
         eprintln!("FAIL: +Inf bucket {inf} disagrees with histogram count {count}");
         ok = false;
     }
@@ -506,143 +740,244 @@ fn check_latency_agreement(addr: &str, completed: u64) -> bool {
     ok
 }
 
-/// One open-loop connection: a writer thread pipelines the connection's
-/// whole round-robin share without waiting for responses; this thread
-/// reads them back and verifies each against its request — the
-/// protocol's per-connection in-order guarantee makes the pairing exact.
-/// Returns no latencies (round-trips are meaningless when requests
-/// queue behind each other in the socket).
-fn drive_connection_open_loop(
-    conn_ix: usize,
-    conns: usize,
-    addr: &str,
-    schedule: &[Ensemble],
-    expected: &[bool],
-    tally: &Tally,
-) -> Vec<u64> {
-    let stream = TcpStream::connect(addr)
-        .unwrap_or_else(|e| panic!("load_driver: cannot connect {addr}: {e}"));
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let share: Vec<usize> = (conn_ix..schedule.len()).step_by(conns).collect();
+// ---------------------------------------------------------------------
+// the stream auditor, shared by the sessions, crash and chaos modes
+// ---------------------------------------------------------------------
 
-    // pre-encode the whole share into one buffer so the writer thread
-    // owns plain bytes (no borrow of the schedule crosses the spawn) and
-    // the socket sees back-to-back frames with no encode gaps between
-    let mut burst = Vec::new();
-    for &i in &share {
-        let req = Msg::Solve { id: i as u64, ens: schedule[i].clone() };
-        write_frame(&mut burst, &encode_msg(&req)).expect("Vec write cannot fail");
-    }
-    let writer_stream = reader.get_ref().try_clone().expect("clone stream");
-    let writer = std::thread::spawn(move || {
-        let mut w = BufWriter::new(writer_stream);
-        w.write_all(&burst).and_then(|()| w.flush()).is_ok()
-    });
-
-    for &i in &share {
-        let payload = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-            Ok(Some(p)) => p,
-            _ => {
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        };
-        match decode_msg(&payload) {
-            Ok(Msg::Verdict { id, verdict }) if id == i as u64 => {
-                check_verdict(&schedule[i], expected[i], &verdict, tally);
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Msg::Error { id, code, message }) => {
-                eprintln!("server error for request {id}: {code:?}: {message}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            other => {
-                eprintln!("unexpected response for request {i}: {other:?}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    if !writer.join().expect("writer thread panicked") {
-        tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    Vec::new()
+/// One deterministic session stream plus what the client expects of it.
+struct StreamPlan {
+    stream: AppendStream,
+    /// Push index that must come back rejected (`None` = accept-only).
+    reject_at: Option<usize>,
 }
 
-/// One closed-loop connection: sends its round-robin share of the
-/// schedule, verifying every response. Returns per-request latencies.
-fn drive_connection(
-    conn_ix: usize,
-    conns: usize,
-    addr: &str,
-    schedule: &[Ensemble],
-    expected: &[bool],
-    tally: &Tally,
-) -> Vec<u64> {
-    let stream = TcpStream::connect(addr)
-        .unwrap_or_else(|e| panic!("load_driver: cannot connect {addr}: {e}"));
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = BufWriter::new(stream);
-    let mut latencies = Vec::new();
-    for i in (conn_ix..schedule.len()).step_by(conns) {
-        let ens = &schedule[i];
-        let t0 = Instant::now();
-        let req = Msg::Solve { id: i as u64, ens: ens.clone() };
-        if write_frame(&mut writer, &encode_msg(&req)).and_then(|()| writer.flush()).is_err() {
-            tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            break;
-        }
-        let payload = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-            Ok(Some(p)) => p,
-            _ => {
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        };
-        latencies.push(t0.elapsed().as_micros() as u64);
-        match decode_msg(&payload) {
-            Ok(Msg::Verdict { id, verdict }) if id == i as u64 => {
-                check_verdict(ens, expected[i], &verdict, tally);
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(Msg::Error { id, code, message }) => {
-                eprintln!("server error for request {id}: {code:?}: {message}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            other => {
-                eprintln!("unexpected response for request {i}: {other:?}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    latencies
+/// The seeded stream workload a stream mode reads from its flags.
+struct PlanSpec {
+    streams: usize,
+    pushes: usize,
+    blocks: usize,
+    seed: u64,
+    reject_every: usize,
+    n_lo: usize,
+    n_hi: usize,
 }
 
-/// Client-side verification: the server's word is never taken for it.
-fn check_verdict(ens: &Ensemble, expect_c1p: bool, verdict: &WireVerdict, tally: &Tally) {
-    match verdict {
-        WireVerdict::Accept { order } => {
-            if !expect_c1p {
-                tally.disagreements.fetch_add(1, Ordering::Relaxed);
-            }
-            if verify_linear(ens, order).is_err() {
-                tally.verify_failures.fetch_add(1, Ordering::Relaxed);
+impl PlanSpec {
+    /// Reads the workload flags; the modes differ only in these
+    /// defaults and in the least `--pushes` they take.
+    fn from_flags(f: &mut Flags, streams: u64, pushes: u64, min_pushes: usize, n_hi: u64) -> Self {
+        let spec = PlanSpec {
+            streams: (f.num("--streams", streams) as usize).max(1),
+            pushes: (f.num("--pushes", pushes) as usize).max(min_pushes),
+            blocks: (f.num("--blocks", 4) as usize).max(1),
+            seed: f.num("--seed", 1),
+            reject_every: f.num("--reject-every", 3) as usize,
+            n_lo: f.num("--n-lo", 64) as usize,
+            n_hi: f.num("--n-hi", n_hi) as usize,
+        };
+        if spec.n_lo < 16 * spec.blocks || spec.n_hi < spec.n_lo {
+            usage("a planted reject needs 16 × --blocks <= --n-lo <= --n-hi");
+        }
+        spec
+    }
+
+    /// Stream `s` gets seed `seed·2609 + s` and
+    /// `n_lo + (stream seed · 31) mod (n_hi − n_lo + 1)` atoms, and every
+    /// `reject_every`-th stream is planted with a reject. CI jobs replay
+    /// these exact streams, so the formula is part of the contract.
+    fn plans(&self) -> Vec<StreamPlan> {
+        (0..self.streams)
+            .map(|s| {
+                let stream_seed = self.seed.wrapping_mul(2609).wrapping_add(s as u64);
+                let span = self.n_hi - self.n_lo + 1;
+                let n = self.n_lo + (stream_seed as usize).wrapping_mul(31) % span;
+                if self.reject_every > 0 && s % self.reject_every == self.reject_every - 1 {
+                    let (stream, at, _) =
+                        append_stream_reject(n, self.blocks, self.pushes, stream_seed);
+                    StreamPlan { stream, reject_at: Some(at) }
+                } else {
+                    let stream = append_stream(n, self.blocks, self.pushes, stream_seed);
+                    StreamPlan { stream, reject_at: None }
+                }
+            })
+            .collect()
+    }
+}
+
+/// The client-side audit of one session stream: its plan, the prefix
+/// the server accepted so far, and an incremental Booth–Lueker mirror
+/// that predicts every verdict without the solver.
+struct StreamCheck<'p> {
+    plan: &'p StreamPlan,
+    accepted: Vec<Vec<Atom>>,
+    mirror: Reducer,
+    /// The mirror's verdict on the push in flight (`true` = accept).
+    predicted: bool,
+}
+
+impl<'p> StreamCheck<'p> {
+    fn new(plan: &'p StreamPlan) -> Self {
+        let mirror = Reducer::new(plan.stream.n_atoms);
+        StreamCheck { plan, accepted: Vec::new(), mirror, predicted: true }
+    }
+
+    fn n(&self) -> usize {
+        self.plan.stream.n_atoms
+    }
+
+    /// Feeds push `k` to the mirror; returns the delta to send and the
+    /// predicted verdict (`true` = accept).
+    fn push(&mut self, k: usize) -> (Ensemble, bool) {
+        let plan = self.plan;
+        self.predicted =
+            plan.stream.pushes[k].iter().fold(true, |ok, col| self.mirror.push(col) & ok);
+        (plan.stream.push_ensemble(k), self.predicted)
+    }
+
+    /// Audits the server's answer to push `k`, then commits it. An
+    /// Accept's order must pass `verify_linear` and a Reject's witness
+    /// `verify_witness`, both against the accepted prefix plus push `k`;
+    /// a verdict that differs from the mirror's prediction, or lands on
+    /// the wrong side of the planted reject, is a disagreement. A push
+    /// the retry handshake proved applied (`RecoveredAccepted`) brings
+    /// no verdict to verify, so it gets the disagreement check alone. An
+    /// accepted push joins the prefix; a rejected one was rolled back
+    /// server-side, so the mirror is rebuilt from the prefix.
+    fn settle(&mut self, k: usize, outcome: PushOutcome, tally: &Tally) {
+        let plan = self.plan;
+        let push = &plan.stream.pushes[k];
+        let accepted = !matches!(outcome, PushOutcome::Verdict(WireVerdict::Reject { .. }));
+        if accepted != self.predicted || accepted == (plan.reject_at == Some(k)) {
+            bump(&tally.disagreements);
+        }
+        if let PushOutcome::Verdict(verdict) = &outcome {
+            let concat = [&self.accepted[..], &push[..]].concat();
+            let concat = Ensemble::from_columns(self.n(), concat).expect("stream columns valid");
+            if !verifies(&concat, verdict) {
+                bump(&tally.verify_failures);
             }
         }
-        WireVerdict::Reject { family, atom_rows, column_ids } => {
-            if expect_c1p {
-                tally.disagreements.fetch_add(1, Ordering::Relaxed);
-            }
-            let witness = TuckerWitness {
-                family: *family,
-                atom_rows: atom_rows.clone(),
-                column_ids: column_ids.clone(),
-            };
-            if verify_witness(ens, &witness).is_err() {
-                tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-            }
+        if accepted {
+            self.accepted.extend_from_slice(push);
+        } else {
+            self.rollback();
         }
+    }
+
+    /// Rebuilds the mirror from the accepted prefix: after a rejected
+    /// push, and after a push whose reply never came (crash mode
+    /// retries it).
+    fn rollback(&mut self) {
+        self.mirror = Reducer::new(self.n());
+        for col in &self.accepted {
+            self.mirror.push(col);
+        }
+    }
+
+    fn accepted_ensemble(&self) -> Ensemble {
+        Ensemble::from_columns(self.n(), self.accepted.clone()).expect("stream columns valid")
+    }
+
+    /// Audits a sealed order: it must equal a one-shot in-process solve
+    /// of the accepted concatenation, bit for bit.
+    fn seal(&self, order: &[Atom], tally: &Tally) {
+        if !c1p_core::solve(&self.accepted_ensemble()).is_ok_and(|expect| expect == order) {
+            bump(&tally.disagreements);
+        }
+    }
+}
+
+/// A session stream driven over a plain [`Link`] (session and crash
+/// mode): the audit plus how far the server has got. Crash mode keeps
+/// it across server generations; the session handle survives restarts,
+/// because recovery rebuilds the session under the same id.
+struct SessionStream<'p> {
+    check: StreamCheck<'p>,
+    session: Option<u64>,
+    next_push: usize,
+    sealed: bool,
+}
+
+/// Why [`SessionStream::drive`] stopped before the seal.
+enum Halt {
+    /// The acknowledged-operation budget ran out.
+    Budget,
+    /// No reply: the connection died.
+    Died,
+    /// An illegal reply, already counted as a protocol error.
+    Protocol,
+}
+
+impl<'p> SessionStream<'p> {
+    fn new(plan: &'p StreamPlan) -> Self {
+        SessionStream { check: StreamCheck::new(plan), session: None, next_push: 0, sealed: false }
+    }
+
+    /// Opens the session if it has no handle yet, sends the remaining
+    /// pushes and seals, auditing every verdict; each acknowledged
+    /// operation spends one unit of `budget`. A push that gets no legal
+    /// reply is rolled back out of the mirror, to be retried.
+    fn drive(
+        &mut self,
+        link: &mut Link,
+        ids: &mut u64,
+        budget: &mut usize,
+        tally: &Tally,
+    ) -> Result<(), Halt> {
+        let mut op = |make: &dyn Fn(u64) -> Msg, legal: &dyn Fn(u64, &WireVerdict) -> bool| {
+            if *budget == 0 {
+                return Err(Halt::Budget);
+            }
+            *ids += 1;
+            match link.call(&make(*ids)).ok_or(Halt::Died)? {
+                Msg::SessionVerdict { id, session, verdict }
+                    if id == *ids && legal(session, &verdict) =>
+                {
+                    *budget -= 1;
+                    bump(&tally.completed);
+                    Ok((session, verdict))
+                }
+                other => {
+                    eprintln!("unexpected reply to request {}: {other:?}", *ids);
+                    bump(&tally.protocol_errors);
+                    Err(Halt::Protocol)
+                }
+            }
+        };
+        let session = match self.session {
+            Some(session) => session,
+            None => {
+                // the open ack's verdict is the empty state: an elided
+                // identity order (see the proto docs)
+                let n_atoms = self.check.n() as u64;
+                let empty = |_: u64, v: &WireVerdict| *v == WireVerdict::Accept { order: vec![] };
+                let (session, _) = op(&|id| Msg::OpenSession { id, n_atoms }, &empty)?;
+                *self.session.insert(session)
+            }
+        };
+        let ours = |s: u64, _: &WireVerdict| s == session;
+        while self.next_push < self.check.plan.stream.pushes.len() {
+            let k = self.next_push;
+            let (delta, _) = self.check.push(k);
+            let push = |id| Msg::PushAtoms { id, session, delta: delta.clone() };
+            match op(&push, &ours) {
+                Ok((_, verdict)) => self.check.settle(k, PushOutcome::Verdict(verdict), tally),
+                Err(halt) => {
+                    self.check.rollback();
+                    return Err(halt);
+                }
+            }
+            self.next_push += 1;
+        }
+        let sealed =
+            |s: u64, v: &WireVerdict| s == session && matches!(v, WireVerdict::Accept { .. });
+        if let (_, WireVerdict::Accept { order }) =
+            op(&|id| Msg::SealSession { id, session }, &sealed)?
+        {
+            self.check.seal(&order, tally);
+        }
+        self.sealed = true;
+        Ok(())
     }
 }
 
@@ -650,343 +985,121 @@ fn check_verdict(ens: &Ensemble, expect_c1p: bool, verdict: &WireVerdict, tally:
 // session mode
 // ---------------------------------------------------------------------
 
-/// One deterministic session stream plus what the client expects of it.
-struct StreamPlan {
-    stream: c1p_matrix::generate::AppendStream,
-    /// Push index that must come back rejected (`None` = accept-only).
-    reject_at: Option<usize>,
-}
-
-fn sessions_main(args: &[String]) {
-    let addr = flag(args, "--addr").expect("--addr HOST:PORT is required");
-    let streams = (num_flag(args, "--streams", 8) as usize).max(1);
-    let pushes = (num_flag(args, "--pushes", 6) as usize).max(1);
-    let blocks = (num_flag(args, "--blocks", 4) as usize).max(1);
-    let conns = (num_flag(args, "--conns", 4) as usize).max(1).min(streams);
-    let seed = num_flag(args, "--seed", 1);
-    let reject_every = num_flag(args, "--reject-every", 3) as usize;
-    let n_lo = num_flag(args, "--n-lo", 64) as usize;
-    let n_hi = num_flag(args, "--n-hi", 192) as usize;
-    assert!(n_lo >= 16 * blocks, "reject embedding needs blocks of >= 16 atoms");
-    assert!(n_hi >= n_lo);
-
-    // deterministic plans: stream s gets a seed-derived size and stream
-    let plans: Vec<StreamPlan> = (0..streams)
-        .map(|s| {
-            let stream_seed = seed.wrapping_mul(2609).wrapping_add(s as u64);
-            // deterministic size without an RNG dependency here
-            let n = n_lo + (stream_seed as usize).wrapping_mul(31) % (n_hi - n_lo + 1);
-            if reject_every > 0 && s % reject_every == reject_every - 1 {
-                let (stream, at, _) = append_stream_reject(n, blocks, pushes, stream_seed);
-                StreamPlan { stream, reject_at: Some(at) }
-            } else {
-                StreamPlan {
-                    stream: append_stream(n, blocks, pushes, stream_seed),
-                    reject_at: None,
-                }
-            }
-        })
-        .collect();
+fn sessions_main(mut f: Flags) {
+    let addr = f.required("--addr", "HOST:PORT");
+    let spec = PlanSpec::from_flags(&mut f, 8, 6, 1, 192);
+    let conns = (f.num("--conns", 4) as usize).max(1).min(spec.streams);
+    f.finish();
+    let plans = spec.plans();
     let rejects = plans.iter().filter(|p| p.reject_at.is_some()).count();
     println!(
-        "load_driver: {streams} session stream(s) × {pushes} pushes ({rejects} with a planted \
-         reject), {conns} connection(s), seed {seed}"
+        "load_driver: {} session stream(s) × {} pushes ({rejects} with a planted reject), \
+         {conns} connection(s), seed {}",
+        spec.streams, spec.pushes, spec.seed
     );
 
-    let tally = Arc::new(Tally::default());
-    let plans = Arc::new(plans);
+    let tally = Tally::default();
     let t0 = Instant::now();
-    let mut handles = Vec::new();
-    for c in 0..conns {
-        let (plans, tally, addr) = (Arc::clone(&plans), Arc::clone(&tally), addr.clone());
-        handles.push(std::thread::spawn(move || drive_streams(c, conns, &addr, &plans, &tally)));
-    }
-    let mut latencies_us: Vec<u64> = Vec::new();
-    for h in handles {
-        latencies_us.extend(h.join().expect("driver thread panicked"));
-    }
-    let wall = t0.elapsed();
-
-    let sealed = fetch_stat(&addr, "\"sessions_sealed\":").unwrap_or(-1);
-    let completed = tally.completed.load(Ordering::Relaxed);
-    let protocol_errors = tally.protocol_errors.load(Ordering::Relaxed);
-    let verify_failures = tally.verify_failures.load(Ordering::Relaxed);
-    let disagreements = tally.disagreements.load(Ordering::Relaxed);
-    let expected_ops = (streams * (pushes + 2)) as u64; // open + pushes + seal
-
-    latencies_us.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies_us.is_empty() {
-            return 0;
+    let latencies = fan_out(conns, |c| {
+        let mut link = Link::connect(&addr)
+            .unwrap_or_else(|e| panic!("load_driver: cannot connect {addr}: {e}"));
+        let (mut ids, mut unlimited) = ((c as u64) << 32, usize::MAX);
+        for plan in plans.iter().skip(c).step_by(conns) {
+            // a stream that breaks is abandoned, so one fault does not
+            // cascade into bogus disagreements on every later push
+            let drive = SessionStream::new(plan).drive(&mut link, &mut ids, &mut unlimited, &tally);
+            if let Err(Halt::Died) = drive {
+                eprintln!("connection lost mid-stream; abandoning stream");
+                bump(&tally.protocol_errors);
+            }
         }
-        latencies_us[((latencies_us.len() - 1) as f64 * p).round() as usize]
-    };
+        link.rtts_us
+    });
+    let wall = t0.elapsed().as_secs_f64();
+
+    let sealed = fetch_stat(&addr, "sessions_sealed").unwrap_or(-1);
+    let completed = get(&tally.completed);
+    let expected_ops = (spec.streams * (spec.pushes + 2)) as u64; // open + pushes + seal
     println!(
-        "completed {completed}/{expected_ops} session ops in {:.2}s ({:.0} ops/s) | \
-         latency p50 {}us p90 {}us p99 {}us",
-        wall.as_secs_f64(),
-        completed as f64 / wall.as_secs_f64().max(1e-9),
-        pct(0.50),
-        pct(0.90),
-        pct(0.99),
+        "completed {completed}/{expected_ops} session ops in {wall:.2}s ({:.0} ops/s) | {}",
+        completed as f64 / wall.max(1e-9),
+        percentiles(latencies),
     );
-    println!(
-        "protocol errors {protocol_errors} | verify failures {verify_failures} | \
-         disagreements {disagreements} | server sessions sealed {sealed}"
-    );
+    tally.report(&format!("server sessions sealed {sealed}"));
     print_durability(&addr);
 
-    let mut failed = false;
-    if completed != expected_ops || protocol_errors > 0 {
-        eprintln!("FAIL: protocol errors or missing responses");
-        failed = true;
+    let mut ok = tally.passes(Some(expected_ops));
+    if sealed != spec.streams as i64 {
+        eprintln!("FAIL: expected {} sealed sessions on the server, got {sealed}", spec.streams);
+        ok = false;
     }
-    if verify_failures > 0 {
-        eprintln!("FAIL: client-side verification failures");
-        failed = true;
-    }
-    if disagreements > 0 {
-        eprintln!("FAIL: verdict disagreement with the client-side mirror / one-shot solve");
-        failed = true;
-    }
-    if sealed != streams as i64 {
-        eprintln!("FAIL: expected {streams} sealed sessions on the server, got {sealed}");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("load_driver: all session checks passed");
-}
-
-/// Drives this connection's round-robin share of the streams, one full
-/// session each (open → pushes → seal), verifying every verdict
-/// client-side. Returns per-operation latencies.
-fn drive_streams(
-    conn_ix: usize,
-    conns: usize,
-    addr: &str,
-    plans: &[StreamPlan],
-    tally: &Tally,
-) -> Vec<u64> {
-    let stream = TcpStream::connect(addr)
-        .unwrap_or_else(|e| panic!("load_driver: cannot connect {addr}: {e}"));
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = BufWriter::new(stream);
-    let mut latencies = Vec::new();
-    let mut req_id = (conn_ix as u64) << 32;
-    let mut rpc = |msg: &Msg, latencies: &mut Vec<u64>| -> Option<Msg> {
-        let t0 = Instant::now();
-        if write_frame(&mut writer, &encode_msg(msg)).and_then(|()| writer.flush()).is_err() {
-            tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let payload = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-            Ok(Some(p)) => p,
-            _ => {
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        latencies.push(t0.elapsed().as_micros() as u64);
-        match decode_msg(&payload) {
-            Ok(m) => Some(m),
-            Err(e) => {
-                eprintln!("undecodable response: {e}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    };
-    'plans: for plan in plans.iter().skip(conn_ix).step_by(conns) {
-        let n = plan.stream.n_atoms;
-        // open (the ack's verdict is the empty state: an elided identity
-        // order — see the proto docs)
-        req_id += 1;
-        let session = match rpc(&Msg::OpenSession { id: req_id, n_atoms: n as u64 }, &mut latencies)
-        {
-            Some(Msg::SessionVerdict { id, session, verdict: WireVerdict::Accept { order } })
-                if id == req_id && order.is_empty() =>
-            {
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-                session
-            }
-            other => {
-                eprintln!("unexpected OpenSession response: {other:?}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        // pushes, with a client-side incremental PQ mirror
-        let mut accepted: Vec<Vec<Atom>> = Vec::new();
-        let mut mirror = c1p_pqtree::Reducer::new(n);
-        for (k, push) in plan.stream.pushes.iter().enumerate() {
-            let delta = Ensemble::from_columns(n, push.clone()).expect("stream columns valid");
-            let mut predicted_ok = true;
-            for col in push {
-                predicted_ok &= mirror.push(col);
-            }
-            req_id += 1;
-            let resp =
-                rpc(&Msg::PushAtoms { id: req_id, session, delta: delta.clone() }, &mut latencies);
-            let Some(Msg::SessionVerdict { id, session: s2, verdict }) = resp else {
-                // mirror and server are now out of step: abandon the
-                // whole stream so one fault doesn't cascade into bogus
-                // disagreements on every later push
-                eprintln!("unexpected PushAtoms response; abandoning stream");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                continue 'plans;
-            };
-            if id != req_id || s2 != session {
-                eprintln!("mismatched PushAtoms echo; abandoning stream");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                continue 'plans;
-            }
-            tally.completed.fetch_add(1, Ordering::Relaxed);
-            // the concatenation this verdict speaks about
-            let mut cols = accepted.clone();
-            cols.extend(push.iter().cloned());
-            let concat = Ensemble::from_columns(n, cols).expect("stream columns valid");
-            match verdict {
-                WireVerdict::Accept { order } => {
-                    if verify_linear(&concat, &order).is_err() {
-                        tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if !predicted_ok || plan.reject_at == Some(k) {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                    accepted.extend(push.iter().cloned());
-                }
-                WireVerdict::Reject { family, atom_rows, column_ids } => {
-                    let witness = TuckerWitness { family, atom_rows, column_ids };
-                    if verify_witness(&concat, &witness).is_err() {
-                        tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if predicted_ok || plan.reject_at != Some(k) {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // server rolled back; rebuild the spent mirror from
-                    // the accepted prefix
-                    mirror = c1p_pqtree::Reducer::new(n);
-                    for col in &accepted {
-                        mirror.push(col);
-                    }
-                }
-            }
-        }
-        // seal: the final order must agree bit-identically with a
-        // one-shot in-process solve of the accepted concatenation
-        req_id += 1;
-        match rpc(&Msg::SealSession { id: req_id, session }, &mut latencies) {
-            Some(Msg::SessionVerdict { id, verdict: WireVerdict::Accept { order }, .. })
-                if id == req_id =>
-            {
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-                let fin =
-                    Ensemble::from_columns(n, accepted.clone()).expect("stream columns valid");
-                match c1p_core::solve(&fin) {
-                    Ok(expect) if expect == order => {}
-                    _ => {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unexpected SealSession response: {other:?}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    latencies
+    conclude(ok, "load_driver: all session checks passed");
 }
 
 // ---------------------------------------------------------------------
 // crash mode
 // ---------------------------------------------------------------------
 
-/// One stream's client-side truth across server crashes: the driver never
-/// dies, so this — not the server — is the arbiter of what was accepted.
-struct CrashStream {
-    plan: StreamPlan,
-    /// The server-issued session handle (survives restarts: recovery
-    /// rebuilds the session under the same id from its WAL header).
-    session: Option<u64>,
-    next_push: usize,
-    accepted: Vec<Vec<Atom>>,
-    /// The incremental Booth–Lueker mirror predicting every verdict.
-    mirror: c1p_pqtree::Reducer,
-    sealed: bool,
-}
-
-impl CrashStream {
-    /// Rebuilds the mirror from the accepted prefix — used after a
-    /// rejected push (server rolled back) and after a crash mid-push
-    /// (the attempted columns were fed to the mirror but never acked).
-    fn rebuild_mirror(&mut self) {
-        self.mirror = c1p_pqtree::Reducer::new(self.plan.stream.n_atoms);
-        for col in &self.accepted {
-            self.mirror.push(col);
-        }
+/// Starts `c1pd` for crash and chaos mode: an ephemeral loopback port
+/// read back from `port_file`, a 2-thread pool, stdout discarded, then
+/// `flags`. Returns the child and its address.
+fn spawn_server(bin: &str, port_file: &Path, flags: &[(&str, &dyn Display)]) -> (Child, String) {
+    let _ = std::fs::remove_file(port_file);
+    let mut cmd = Command::new(bin);
+    cmd.args(["--addr", "127.0.0.1:0", "--threads", "2", "--port-file"]).arg(port_file);
+    for (flag, value) in flags {
+        cmd.arg(flag).arg(value.to_string());
     }
+    let child =
+        cmd.stdout(Stdio::null()).spawn().unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+    (child, format!("127.0.0.1:{}", wait_port(port_file)))
 }
 
-fn crash_main(args: &[String]) {
-    let server_bin = flag(args, "--server").expect("--server PATH (the c1pd binary) is required");
-    let wal_dir = flag(args, "--wal-dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("c1p-crash-{}", std::process::id())));
+/// Polls the bare-port file a spawned `c1pd --port-file` writes.
+fn wait_port(path: &Path) -> u16 {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while Instant::now() < deadline {
+        if let Some(port) = std::fs::read_to_string(path).ok().and_then(|s| s.trim().parse().ok()) {
+            return port;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("server did not write {} within 30s", path.display());
+}
+
+fn crash_main(mut f: Flags) {
+    let server = f.required("--server", "PATH (the c1pd binary)");
+    let wal_dir = f.value("--wal-dir").map_or_else(
+        || std::env::temp_dir().join(format!("c1p-crash-{}", std::process::id())),
+        PathBuf::from,
+    );
+    let cycles = (f.num("--cycles", 5) as usize).max(2);
+    let spec = PlanSpec::from_flags(&mut f, 6, 8, 2, 160);
+    let snapshot_ms = f.num("--snapshot-ms", 50);
+    let fault_every = f.num("--fault-every", 2) as usize;
+    f.finish();
     std::fs::create_dir_all(&wal_dir).expect("create --wal-dir");
-    let cycles = (num_flag(args, "--cycles", 5) as usize).max(2);
-    let streams_n = (num_flag(args, "--streams", 6) as usize).max(1);
-    let pushes = (num_flag(args, "--pushes", 8) as usize).max(2);
-    let blocks = (num_flag(args, "--blocks", 4) as usize).max(1);
-    let seed = num_flag(args, "--seed", 1);
-    let reject_every = num_flag(args, "--reject-every", 3) as usize;
-    let n_lo = num_flag(args, "--n-lo", 64) as usize;
-    let n_hi = num_flag(args, "--n-hi", 160) as usize;
-    let snapshot_ms = num_flag(args, "--snapshot-ms", 50);
-    let fault_every = num_flag(args, "--fault-every", 2) as usize;
-    assert!(n_lo >= 16 * blocks, "reject embedding needs blocks of >= 16 atoms");
-    assert!(n_hi >= n_lo);
 
-    let mut streams: Vec<CrashStream> = (0..streams_n)
-        .map(|s| {
-            let stream_seed = seed.wrapping_mul(2609).wrapping_add(s as u64);
-            let n = n_lo + (stream_seed as usize).wrapping_mul(31) % (n_hi - n_lo + 1);
-            let plan = if reject_every > 0 && s % reject_every == reject_every - 1 {
-                let (stream, at, _) = append_stream_reject(n, blocks, pushes, stream_seed);
-                StreamPlan { stream, reject_at: Some(at) }
-            } else {
-                StreamPlan {
-                    stream: append_stream(n, blocks, pushes, stream_seed),
-                    reject_at: None,
-                }
-            };
-            let mirror = c1p_pqtree::Reducer::new(plan.stream.n_atoms);
-            CrashStream {
-                plan,
-                session: None,
-                next_push: 0,
-                accepted: Vec::new(),
-                mirror,
-                sealed: false,
-            }
-        })
-        .collect();
-
+    // the driver never dies, so its streams — not the server — are the
+    // arbiter of what was accepted
+    let plans = spec.plans();
+    let mut streams: Vec<SessionStream> = plans.iter().map(SessionStream::new).collect();
     // the warm-start probe: solved cold in cycle 0, snapshotted, and from
     // every restart on its first solve must be served warm
-    let probe = append_stream(n_lo, blocks, 2, seed ^ 0x9e37).final_ensemble();
-
+    let probe = append_stream(spec.n_lo, spec.blocks, 2, spec.seed ^ 0x9e37).final_ensemble();
+    let seed = spec.seed as usize;
     let tally = Tally::default();
-    let mut anomalies = 0u64;
-    let mut kills = 0usize;
-    let mut faults = 0usize;
+    let (mut anomalies, mut kills, mut faults) = (0u64, 0usize, 0usize);
+    let mut anomaly = |msg: String| {
+        eprintln!("FAIL: {msg}");
+        anomalies += 1;
+    };
     println!(
-        "load_driver crash: {streams_n} stream(s) × {pushes} pushes over {cycles} cycle(s), \
-         wal dir {}, seed {seed}",
-        wal_dir.display()
+        "load_driver crash: {} stream(s) × {} pushes over {cycles} cycle(s), wal dir {}, seed {}",
+        spec.streams,
+        spec.pushes,
+        wal_dir.display(),
+        spec.seed
     );
 
     for cycle in 0..cycles {
@@ -994,57 +1107,40 @@ fn crash_main(args: &[String]) {
         // every --fault-every-th crash dies mid-WAL-append instead of
         // between acknowledged operations
         let fault = !last && fault_every > 0 && cycle % fault_every == fault_every - 1;
-        let fault_after = 1 + (seed as usize).wrapping_add(13 * cycle) % 4;
-        let port_file = wal_dir.join(format!("port-{cycle}"));
-        let _ = std::fs::remove_file(&port_file);
-        let mut cmd = std::process::Command::new(&server_bin);
-        cmd.arg("--addr")
-            .arg("127.0.0.1:0")
-            .arg("--port-file")
-            .arg(&port_file)
-            .arg("--wal-dir")
-            .arg(&wal_dir)
-            .arg("--snapshot-ms")
-            .arg(snapshot_ms.to_string())
-            .arg("--threads")
-            .arg("2")
-            .stdout(std::process::Stdio::null());
-        if fault {
-            cmd.arg("--wal-fault-after").arg(fault_after.to_string());
-        }
-        let mut child = cmd.spawn().unwrap_or_else(|e| panic!("cannot spawn {server_bin}: {e}"));
-        let addr = format!("127.0.0.1:{}", wait_port(&port_file));
+        let fault_after = if fault { 1 + seed.wrapping_add(13 * cycle) % 4 } else { 0 }; // 0 = off
+        let (mut child, addr) = spawn_server(
+            &server,
+            &wal_dir.join(format!("port-{cycle}")),
+            &[
+                ("--wal-dir", &wal_dir.display()),
+                ("--snapshot-ms", &snapshot_ms),
+                ("--wal-fault-after", &fault_after),
+            ],
+        );
 
         // restart audits: nothing quarantined, every live session back,
         // and the probe answered from the snapshot-warmed cache
-        let quarantined = fetch_stat(&addr, "\"quarantined_wals\":").unwrap_or(-1);
+        let quarantined = fetch_stat(&addr, "quarantined_wals").unwrap_or(-1);
         if quarantined != 0 {
-            eprintln!("FAIL: cycle {cycle}: {quarantined} quarantined WAL(s) after restart");
-            anomalies += 1;
+            anomaly(format!("cycle {cycle}: {quarantined} quarantined WAL(s) after restart"));
         }
         if cycle > 0 {
             let live = streams.iter().filter(|s| s.session.is_some() && !s.sealed).count() as i64;
-            let recovered = fetch_stat(&addr, "\"recovered_sessions\":").unwrap_or(-1);
+            let recovered = fetch_stat(&addr, "recovered_sessions").unwrap_or(-1);
             if recovered < live {
-                eprintln!("FAIL: cycle {cycle}: recovered {recovered} of {live} live session(s)");
-                anomalies += 1;
+                anomaly(format!("cycle {cycle}: recovered {recovered} of {live} live session(s)"));
             }
         }
         if !solve_probe(&addr, &probe, &tally) {
-            eprintln!("FAIL: cycle {cycle}: warm-start probe solve failed");
-            anomalies += 1;
+            anomaly(format!("cycle {cycle}: warm-start probe solve failed"));
         }
         // baseline for the pre-kill snapshot gate: a snapshot write may be
         // in flight with a cache image read *before* the probe landed, so
         // the gate below waits for two increments past this point — the
         // second one provably started after the probe was cached
-        let snap_base = fetch_stat(&addr, "\"snapshot_writes\":").unwrap_or(0).max(0);
-        if cycle > 0 {
-            let warm = fetch_stat(&addr, "\"warm_start_hits\":").unwrap_or(-1);
-            if warm < 1 {
-                eprintln!("FAIL: cycle {cycle}: first probe solve after restart was not warm");
-                anomalies += 1;
-            }
+        let snap_base = fetch_stat(&addr, "snapshot_writes").unwrap_or(0).max(0);
+        if cycle > 0 && fetch_stat(&addr, "warm_start_hits").unwrap_or(-1) < 1 {
+            anomaly(format!("cycle {cycle}: first probe solve after restart was not warm"));
         }
 
         // drive: unbounded on fault cycles (the server picks the crash
@@ -1053,190 +1149,65 @@ fn crash_main(args: &[String]) {
         let budget = if last || fault {
             usize::MAX
         } else {
-            2 + (seed as usize).wrapping_mul(31).wrapping_add(17 * cycle) % 6
+            2 + seed.wrapping_mul(31).wrapping_add(17 * cycle) % 6
         };
         let conn_died = drive_crash_cycle(&addr, &mut streams, budget, &tally);
 
         if last {
-            let all_sealed = streams.iter().all(|s| s.sealed);
-            if !all_sealed || conn_died {
-                eprintln!("FAIL: final cycle did not seal every stream");
-                anomalies += 1;
+            if conn_died || !streams.iter().all(|s| s.sealed) {
+                anomaly("final cycle did not seal every stream".into());
             }
             print_durability(&addr);
             child.kill().ok();
-            child.wait().ok();
         } else if fault && conn_died {
             faults += 1; // the server aborted itself mid-append
-            child.wait().ok();
         } else {
             if conn_died {
-                eprintln!("FAIL: cycle {cycle}: connection died without an injected fault");
-                anomalies += 1;
+                anomaly(format!("cycle {cycle}: connection died without an injected fault"));
             }
             // make sure a snapshot that *postdates the probe solve* exists
             // before the kill, so the next boot warm-starts the probe
-            if !wait_stat_at_least(&addr, "\"snapshot_writes\":", snap_base + 2) {
-                eprintln!("FAIL: cycle {cycle}: no post-probe snapshot written before kill");
-                anomalies += 1;
+            if !wait_stat_at_least(&addr, "snapshot_writes", snap_base + 2) {
+                anomaly(format!("cycle {cycle}: no post-probe snapshot written before kill"));
             }
             child.kill().ok(); // SIGKILL: no goodbye, that is the point
-            child.wait().ok();
             kills += 1;
         }
+        child.wait().ok();
     }
 
-    let completed = tally.completed.load(Ordering::Relaxed);
-    let protocol_errors = tally.protocol_errors.load(Ordering::Relaxed);
-    let verify_failures = tally.verify_failures.load(Ordering::Relaxed);
-    let disagreements = tally.disagreements.load(Ordering::Relaxed);
     let sealed = streams.iter().filter(|s| s.sealed).count();
     println!(
         "crash cycles {cycles} ({kills} kill -9, {faults} mid-append fault) | \
-         ops acked {completed} | sealed {sealed}/{streams_n}"
+         ops acked {} | sealed {sealed}/{}",
+        get(&tally.completed),
+        spec.streams
     );
-    println!(
-        "protocol errors {protocol_errors} | verify failures {verify_failures} | \
-         disagreements {disagreements} | audit anomalies {anomalies}"
-    );
-    if protocol_errors > 0 || verify_failures > 0 || disagreements > 0 || anomalies > 0 {
+    tally.report(&format!("audit anomalies {anomalies}"));
+    let ok = tally.passes(None) && anomalies == 0;
+    if !ok {
         eprintln!("FAIL: crash-recovery audit failed");
-        std::process::exit(1);
     }
-    println!("load_driver: all crash-recovery checks passed");
+    conclude(ok, "load_driver: all crash-recovery checks passed");
 }
 
-/// Drives every unfinished stream in order, spending at most `budget`
-/// acknowledged operations. Returns `true` if the connection died (the
-/// injected mid-append fault fired — or the server vanished unexpectedly,
-/// which the caller flags).
+/// Drives every unsealed stream in order over one link, spending at most
+/// `budget` acknowledged operations. Returns `true` if the connection
+/// died (the injected mid-append fault fired — or the server vanished
+/// unexpectedly, which the caller flags).
 fn drive_crash_cycle(
     addr: &str,
-    streams: &mut [CrashStream],
-    mut budget: usize,
+    streams: &mut [SessionStream],
+    budget: usize,
     tally: &Tally,
 ) -> bool {
-    let Ok(stream) = TcpStream::connect(addr) else {
+    let Ok(mut link) = Link::connect(addr) else {
         return true;
     };
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = BufWriter::new(stream);
-    let mut req_id = 0u64;
-    let mut rpc = |msg: &Msg| -> Option<Msg> {
-        // unlike the other modes, a failed exchange here is *expected*
-        // (that is what a crash looks like) — the caller classifies it
-        if write_frame(&mut writer, &encode_msg(msg)).and_then(|()| writer.flush()).is_err() {
-            return None;
-        }
-        match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-            Ok(Some(p)) => decode_msg(&p).ok(),
-            _ => None,
-        }
-    };
+    let (mut ids, mut budget) = (0, budget);
     for st in streams.iter_mut().filter(|s| !s.sealed) {
-        let n = st.plan.stream.n_atoms;
-        if st.session.is_none() {
-            if budget == 0 {
-                return false;
-            }
-            req_id += 1;
-            match rpc(&Msg::OpenSession { id: req_id, n_atoms: n as u64 }) {
-                Some(Msg::SessionVerdict { id, session, .. }) if id == req_id => {
-                    st.session = Some(session);
-                    tally.completed.fetch_add(1, Ordering::Relaxed);
-                    budget -= 1;
-                }
-                None => return true,
-                other => {
-                    eprintln!("unexpected OpenSession response: {other:?}");
-                    tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-            }
-        }
-        let session = st.session.expect("opened above");
-        while st.next_push < st.plan.stream.pushes.len() {
-            if budget == 0 {
-                return false;
-            }
-            let k = st.next_push;
-            let push = st.plan.stream.pushes[k].clone();
-            let delta = Ensemble::from_columns(n, push.clone()).expect("stream columns valid");
-            let mut predicted_ok = true;
-            for col in &push {
-                predicted_ok &= st.mirror.push(col);
-            }
-            req_id += 1;
-            let resp = rpc(&Msg::PushAtoms { id: req_id, session, delta: delta.clone() });
-            let Some(Msg::SessionVerdict { id, session: s2, verdict }) = resp else {
-                // crash mid-push: the record was torn (or never written),
-                // so the push is NOT durable — recovery must agree, and
-                // this same push is retried next cycle
-                st.rebuild_mirror();
-                return true;
-            };
-            if id != req_id || s2 != session {
-                eprintln!("mismatched PushAtoms echo");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            tally.completed.fetch_add(1, Ordering::Relaxed);
-            budget -= 1;
-            let mut cols = st.accepted.clone();
-            cols.extend(push.iter().cloned());
-            let concat = Ensemble::from_columns(n, cols).expect("stream columns valid");
-            match verdict {
-                WireVerdict::Accept { order } => {
-                    if verify_linear(&concat, &order).is_err() {
-                        tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if !predicted_ok || st.plan.reject_at == Some(k) {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                    st.accepted.extend(push.iter().cloned());
-                }
-                WireVerdict::Reject { family, atom_rows, column_ids } => {
-                    let witness = TuckerWitness { family, atom_rows, column_ids };
-                    if verify_witness(&concat, &witness).is_err() {
-                        tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if predicted_ok || st.plan.reject_at != Some(k) {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                    st.rebuild_mirror();
-                }
-            }
-            st.next_push += 1;
-        }
-        if budget == 0 {
-            return false;
-        }
-        // seal: bit-identical to a one-shot in-process solve of the
-        // accepted concatenation — the acceptance criterion, verbatim
-        req_id += 1;
-        match rpc(&Msg::SealSession { id: req_id, session }) {
-            Some(Msg::SessionVerdict { id, verdict: WireVerdict::Accept { order }, .. })
-                if id == req_id =>
-            {
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-                budget -= 1;
-                let fin =
-                    Ensemble::from_columns(n, st.accepted.clone()).expect("stream columns valid");
-                match c1p_core::solve(&fin) {
-                    Ok(expect) if expect == order => {}
-                    _ => {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                st.sealed = true;
-            }
-            None => return true,
-            other => {
-                eprintln!("unexpected SealSession response: {other:?}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
+        if let Err(halt) = st.drive(&mut link, &mut ids, &mut budget, tally) {
+            return matches!(halt, Halt::Died);
         }
     }
     false
@@ -1260,225 +1231,166 @@ struct ChaosTally {
     lost_seals: AtomicU64,
 }
 
-fn chaos_main(args: &[String]) {
-    let server_bin = flag(args, "--server").expect("--server PATH (the c1pd binary) is required");
-    let wal_dir = flag(args, "--wal-dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("c1p-chaos-{}", std::process::id())));
+impl ChaosTally {
+    /// Counts an operation the client gave up on: past its deadline it
+    /// hung, anything else is a protocol error.
+    fn failed(&self, what: &str, e: &ClientError, tally: &Tally) {
+        if let ClientError::DeadlineExceeded { .. } = e {
+            bump(&self.hangs);
+        } else {
+            eprintln!("{what}: {e}");
+            bump(&tally.protocol_errors);
+        }
+    }
+}
+
+fn chaos_main(mut f: Flags) {
+    let server = f.required("--server", "PATH (the c1pd binary)");
+    let wal_dir = f.value("--wal-dir").map_or_else(
+        || std::env::temp_dir().join(format!("c1p-chaos-{}", std::process::id())),
+        PathBuf::from,
+    );
+    let shards = (f.num("--shards", 2) as usize).max(1);
+    let spec = PlanSpec::from_flags(&mut f, 8, 6, 2, 160);
+    let solves = (f.num("--solves", 60) as usize).max(1);
+    let kill_every = f.num("--kill-every", 6);
+    let drop_every = f.num("--drop-every", 5);
+    let socket_every = f.num("--socket-every", 17);
+    let delay_every = f.num("--delay-every", 11);
+    let wal_torn_every = f.num("--wal-torn-every", 7);
+    let deadline_ms = f.num("--deadline-ms", 400);
+    let expect_metrics = f.switch("--expect-metrics");
+    let trace_sample = f.num("--trace-sample", 0);
+    let slow_ms = f.num("--slow-ms", 100);
+    let expect_traces = f.switch("--expect-traces");
+    f.finish();
     let _ = std::fs::remove_dir_all(&wal_dir);
     std::fs::create_dir_all(&wal_dir).expect("create --wal-dir");
-    let shards = (num_flag(args, "--shards", 2) as usize).max(1);
-    let streams_n = (num_flag(args, "--streams", 8) as usize).max(1);
-    let pushes = (num_flag(args, "--pushes", 6) as usize).max(2);
-    let blocks = (num_flag(args, "--blocks", 4) as usize).max(1);
-    let solves = (num_flag(args, "--solves", 60) as usize).max(1);
-    let seed = num_flag(args, "--seed", 1);
-    let reject_every = num_flag(args, "--reject-every", 3) as usize;
-    let n_lo = num_flag(args, "--n-lo", 64) as usize;
-    let n_hi = num_flag(args, "--n-hi", 160) as usize;
-    let kill_every = num_flag(args, "--kill-every", 6);
-    let drop_every = num_flag(args, "--drop-every", 5);
-    let socket_every = num_flag(args, "--socket-every", 17);
-    let delay_every = num_flag(args, "--delay-every", 11);
-    let wal_torn_every = num_flag(args, "--wal-torn-every", 7);
-    let deadline_ms = num_flag(args, "--deadline-ms", 400);
-    let expect_metrics = args.iter().any(|a| a == "--expect-metrics");
-    let trace_sample = num_flag(args, "--trace-sample", 0);
-    let slow_ms = num_flag(args, "--slow-ms", 100);
-    let expect_traces = args.iter().any(|a| a == "--expect-traces");
-    assert!(n_lo >= 16 * blocks, "reject embedding needs blocks of >= 16 atoms");
-    assert!(n_hi >= n_lo);
 
     // the same deterministic plans session mode replays — chaos changes
     // the transport, never the workload
-    let plans: Vec<StreamPlan> = (0..streams_n)
-        .map(|s| {
-            let stream_seed = seed.wrapping_mul(2609).wrapping_add(s as u64);
-            let n = n_lo + (stream_seed as usize).wrapping_mul(31) % (n_hi - n_lo + 1);
-            if reject_every > 0 && s % reject_every == reject_every - 1 {
-                let (stream, at, _) = append_stream_reject(n, blocks, pushes, stream_seed);
-                StreamPlan { stream, reject_at: Some(at) }
-            } else {
-                StreamPlan {
-                    stream: append_stream(n, blocks, pushes, stream_seed),
-                    reject_at: None,
-                }
-            }
-        })
-        .collect();
-
-    let port_file = wal_dir.join("port");
-    let mut child = std::process::Command::new(&server_bin)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .arg("--port-file")
-        .arg(&port_file)
-        .arg("--shards")
-        .arg(shards.to_string())
-        .arg("--wal-dir")
-        .arg(&wal_dir)
-        .arg("--threads")
-        .arg("2")
-        .arg("--chaos-seed")
-        .arg(seed.to_string())
-        .arg("--chaos-kill-every")
-        .arg(kill_every.to_string())
-        .arg("--chaos-drop-every")
-        .arg(drop_every.to_string())
-        .arg("--chaos-socket-every")
-        .arg(socket_every.to_string())
-        .arg("--chaos-delay-every")
-        .arg(delay_every.to_string())
-        .arg("--chaos-wal-torn-every")
-        .arg(wal_torn_every.to_string())
-        .arg("--request-deadline-ms")
-        .arg(deadline_ms.to_string())
-        .arg("--trace-sample")
-        .arg(trace_sample.to_string())
-        .arg("--slow-ms")
-        .arg(slow_ms.to_string())
-        .arg("--trace-seed")
-        .arg(seed.to_string())
-        .stdout(std::process::Stdio::null())
-        .spawn()
-        .unwrap_or_else(|e| panic!("cannot spawn {server_bin}: {e}"));
-    let addr = format!("127.0.0.1:{}", wait_port(&port_file));
+    let plans = spec.plans();
+    let seed = spec.seed;
+    let (mut child, addr) = spawn_server(
+        &server,
+        &wal_dir.join("port"),
+        &[
+            ("--shards", &shards),
+            ("--wal-dir", &wal_dir.display()),
+            ("--chaos-seed", &seed),
+            ("--chaos-kill-every", &kill_every),
+            ("--chaos-drop-every", &drop_every),
+            ("--chaos-socket-every", &socket_every),
+            ("--chaos-delay-every", &delay_every),
+            ("--chaos-wal-torn-every", &wal_torn_every),
+            ("--request-deadline-ms", &deadline_ms),
+            ("--trace-sample", &trace_sample),
+            ("--slow-ms", &slow_ms),
+            ("--trace-seed", &seed),
+        ],
+    );
     println!(
-        "load_driver chaos: {streams_n} stream(s) × {pushes} pushes + {solves} solve(s) against \
+        "load_driver chaos: {} stream(s) × {} pushes + {solves} solve(s) against \
          {shards} shard(s); kill/{kill_every} drop/{drop_every} socket/{socket_every} \
-         delay/{delay_every} wal-torn/{wal_torn_every}, deadline {deadline_ms}ms, seed {seed}"
+         delay/{delay_every} wal-torn/{wal_torn_every}, deadline {deadline_ms}ms, seed {seed}",
+        spec.streams, spec.pushes
     );
 
-    let tally = Arc::new(Tally::default());
-    let chaos = Arc::new(ChaosTally::default());
-    let plans = Arc::new(plans);
+    let tally = Tally::default();
+    let chaos = ChaosTally::default();
     let t0 = Instant::now();
-    let sessions_thread = {
-        let (plans, tally, chaos, addr) =
-            (Arc::clone(&plans), Arc::clone(&tally), Arc::clone(&chaos), addr.clone());
-        std::thread::spawn(move || drive_chaos_streams(&addr, &plans, &tally, &chaos, seed))
-    };
-    let solves_thread = {
-        let (tally, chaos, addr) = (Arc::clone(&tally), Arc::clone(&chaos), addr.clone());
-        std::thread::spawn(move || drive_chaos_solves(&addr, solves, seed, &tally, &chaos))
-    };
-    let client_retries = sessions_thread.join().expect("sessions thread panicked")
-        + solves_thread.join().expect("solves thread panicked");
+    let client_retries = std::thread::scope(|scope| {
+        let streams = scope.spawn(|| drive_chaos_streams(&addr, &plans, &tally, &chaos, seed));
+        let singles = scope.spawn(|| drive_chaos_solves(&addr, solves, seed, &tally, &chaos));
+        streams.join().expect("sessions thread panicked")
+            + singles.join().expect("solves thread panicked")
+    });
     let wall = t0.elapsed();
 
-    let completed = tally.completed.load(Ordering::Relaxed);
-    let protocol_errors = tally.protocol_errors.load(Ordering::Relaxed);
-    let verify_failures = tally.verify_failures.load(Ordering::Relaxed);
-    let disagreements = tally.disagreements.load(Ordering::Relaxed);
-    let hangs = chaos.hangs.load(Ordering::Relaxed);
-    let recovered_pushes = chaos.recovered_pushes.load(Ordering::Relaxed);
-    let lost_seals = chaos.lost_seals.load(Ordering::Relaxed);
-    let expected_ops = (streams_n * (pushes + 2) + solves) as u64;
+    let hangs = get(&chaos.hangs);
+    let expected_ops = (spec.streams * (spec.pushes + 2) + solves) as u64;
     println!(
-        "completed {completed}/{expected_ops} ops in {:.2}s | client retries {client_retries} \
-         ({recovered_pushes} pushes recovered by handshake, {lost_seals} seals re-derived)",
+        "completed {}/{expected_ops} ops in {:.2}s | client retries {client_retries} \
+         ({} pushes recovered by handshake, {} seals re-derived)",
+        get(&tally.completed),
         wall.as_secs_f64(),
+        get(&chaos.recovered_pushes),
+        get(&chaos.lost_seals),
     );
-    println!(
-        "protocol errors {protocol_errors} | verify failures {verify_failures} | \
-         disagreements {disagreements} | hangs {hangs}"
-    );
+    tally.report(&format!("hangs {hangs}"));
 
     // the chaos must be real: scrape the proof before killing the server
-    let mut failed = false;
+    let mut ok = true;
     let scrape = |dump: &str, name: &str| c1p_net::metrics::scrape(dump, name).unwrap_or(-1.0);
-    match fetch_metrics_retry(&addr, 10) {
+    match retried(|| fetch_metrics(&addr)) {
         Some(dump) => {
             let injected = scrape(&dump, "c1pd_faults_injected_total");
             let restarts = scrape(&dump, "c1pd_shard_restarts_total");
-            let swept = scrape(&dump, "c1pd_degraded_replies_total");
-            let reaped = scrape(&dump, "c1pd_deadline_expired_total");
-            let queries = scrape(&dump, "c1pd_retries_total");
             println!(
                 "server: faults injected {injected} | shard restarts {restarts} | \
-                 swept replies {swept} | deadline reaps {reaped} | handshake queries {queries}"
+                 swept replies {} | deadline reaps {} | handshake queries {}",
+                scrape(&dump, "c1pd_degraded_replies_total"),
+                scrape(&dump, "c1pd_deadline_expired_total"),
+                scrape(&dump, "c1pd_retries_total"),
             );
             if injected < 1.0 {
                 eprintln!("FAIL: the fault plan never fired — this was not a chaos run");
-                failed = true;
+                ok = false;
             }
             if restarts < 1.0 {
                 eprintln!("FAIL: no supervised shard restart happened");
-                failed = true;
+                ok = false;
             }
             // read from the retried dump: `GetStats` reports the same sum,
             // but one unretried connection can meet an injected fault
             let recovered = scrape(&dump, "c1pd_recovered_sessions_total");
             if recovered < 1.0 {
                 eprintln!("FAIL: no session was recovered from the WAL after a restart");
-                failed = true;
+                ok = false;
             }
             println!("server: sessions recovered from WAL after restarts: {recovered}");
         }
         None => {
             eprintln!("FAIL: could not scrape the server after the run");
-            failed = true;
+            ok = false;
         }
     }
-    if expect_metrics
-        && !check_metrics(
-            &addr,
-            false,
-            &[
-                "c1pd_faults_injected_total",
-                "c1pd_retries_total",
-                "c1pd_shard_restarts_total",
-                "c1pd_degraded_replies_total",
-                "c1pd_deadline_expired_total",
-            ],
-        )
-    {
-        failed = true;
-    }
-    if expect_traces && !check_traces(&addr, true) {
-        failed = true;
-    }
+    let chaos_series = [
+        "c1pd_faults_injected_total",
+        "c1pd_retries_total",
+        "c1pd_shard_restarts_total",
+        "c1pd_degraded_replies_total",
+        "c1pd_deadline_expired_total",
+    ];
+    ok &= !expect_metrics || check_metrics(&addr, false, &chaos_series);
+    ok &= !expect_traces || check_traces(&addr, true);
     child.kill().ok();
     child.wait().ok();
     let _ = std::fs::remove_dir_all(&wal_dir);
 
-    if completed != expected_ops || protocol_errors > 0 {
-        eprintln!("FAIL: protocol errors or unsettled operations");
-        failed = true;
-    }
-    if verify_failures > 0 {
-        eprintln!("FAIL: client-side verification failures");
-        failed = true;
-    }
-    if disagreements > 0 {
-        eprintln!("FAIL: verdict disagreement with the PQ mirror / in-process solve");
-        failed = true;
-    }
+    ok &= tally.passes(Some(expected_ops));
     if hangs > 0 {
         eprintln!("FAIL: {hangs} operation(s) outlived the client deadline");
-        failed = true;
+        ok = false;
     }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("load_driver: all chaos checks passed");
+    conclude(ok, "load_driver: all chaos checks passed");
 }
 
 /// The chaos retry policy: a deadline far above any injected stall so a
 /// `DeadlineExceeded` can only mean a genuine hang, and a tight backoff
 /// so the run stays fast.
-fn chaos_policy(seed: u64) -> c1p_net::client::RetryPolicy {
-    c1p_net::client::RetryPolicy {
-        deadline: std::time::Duration::from_secs(60),
-        base: std::time::Duration::from_millis(2),
-        cap: std::time::Duration::from_millis(50),
+fn chaos_policy(seed: u64) -> RetryPolicy {
+    RetryPolicy {
+        deadline: Duration::from_secs(60),
+        base: Duration::from_millis(2),
+        cap: Duration::from_millis(50),
         seed,
     }
 }
 
-/// Streams every session plan through the self-healing client, predicting
-/// each verdict with the incremental PQ mirror and gating seals on the
-/// in-process solve. Returns the client's transport retry count.
+/// Streams every session plan through the self-healing client, auditing
+/// each with a [`StreamCheck`]. Returns the client's transport retry
+/// count.
 fn drive_chaos_streams(
     addr: &str,
     plans: &[StreamPlan],
@@ -1486,134 +1398,52 @@ fn drive_chaos_streams(
     chaos: &ChaosTally,
     seed: u64,
 ) -> u64 {
-    use c1p_net::client::{Client, ClientError, PushOutcome, SealOutcome};
     let mut client = Client::new(addr, chaos_policy(seed ^ 0xC1A0));
-    for (s, plan) in plans.iter().enumerate() {
-        let n = plan.stream.n_atoms;
-        let mut mirror = c1p_pqtree::Reducer::new(n);
-        let mut accepted: Vec<Vec<Atom>> = Vec::new();
-        let mut session = match client.open_session(n) {
-            Ok(session) => {
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-                session
-            }
-            Err(ClientError::DeadlineExceeded { .. }) => {
-                chaos.hangs.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
+    'plans: for (s, plan) in plans.iter().enumerate() {
+        let mut check = StreamCheck::new(plan);
+        let mut session = match client.open_session(check.n()) {
+            Ok(session) => session,
             Err(e) => {
-                eprintln!("stream {s}: open failed: {e}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                chaos.failed(&format!("stream {s}: open failed"), &e, tally);
                 continue;
             }
         };
-        let mut abandoned = false;
+        bump(&tally.completed);
         for k in 0..plan.stream.pushes.len() {
-            let push = plan.stream.pushes[k].clone();
-            let delta = Ensemble::from_columns(n, push.clone()).expect("stream columns valid");
-            let mut predicted_ok = true;
-            for col in &push {
-                predicted_ok &= mirror.push(col);
-            }
-            let mut cols = accepted.clone();
-            cols.extend(push.iter().cloned());
-            let concat = Ensemble::from_columns(n, cols).expect("stream columns valid");
+            let (delta, _) = check.push(k);
             match session.push(&delta) {
-                Ok(PushOutcome::Verdict(WireVerdict::Accept { order })) => {
-                    tally.completed.fetch_add(1, Ordering::Relaxed);
-                    if verify_linear(&concat, &order).is_err() {
-                        tally.verify_failures.fetch_add(1, Ordering::Relaxed);
+                Ok(outcome) => {
+                    bump(&tally.completed);
+                    if let PushOutcome::RecoveredAccepted = outcome {
+                        bump(&chaos.recovered_pushes);
                     }
-                    if !predicted_ok || plan.reject_at == Some(k) {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                    accepted.extend(push.iter().cloned());
-                }
-                Ok(PushOutcome::Verdict(WireVerdict::Reject { family, atom_rows, column_ids })) => {
-                    tally.completed.fetch_add(1, Ordering::Relaxed);
-                    let witness = TuckerWitness { family, atom_rows, column_ids };
-                    if verify_witness(&concat, &witness).is_err() {
-                        tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if predicted_ok || plan.reject_at != Some(k) {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // server rolled back; resync the mirror to match
-                    mirror = c1p_pqtree::Reducer::new(n);
-                    for col in &accepted {
-                        mirror.push(col);
-                    }
-                }
-                Ok(PushOutcome::RecoveredAccepted) => {
-                    // the handshake proved application; the lost frame's
-                    // witness is gone, but acceptance itself must agree
-                    tally.completed.fetch_add(1, Ordering::Relaxed);
-                    chaos.recovered_pushes.fetch_add(1, Ordering::Relaxed);
-                    if !predicted_ok || plan.reject_at == Some(k) {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                    accepted.extend(push.iter().cloned());
-                }
-                Err(ClientError::DeadlineExceeded { .. }) => {
-                    chaos.hangs.fetch_add(1, Ordering::Relaxed);
-                    abandoned = true;
-                    break;
+                    check.settle(k, outcome, tally);
                 }
                 Err(e) => {
-                    eprintln!("stream {s} push {k}: {e}");
-                    tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    abandoned = true;
-                    break;
+                    chaos.failed(&format!("stream {s} push {k}"), &e, tally);
+                    continue 'plans;
                 }
             }
         }
-        if abandoned {
-            continue;
-        }
-        let fin = Ensemble::from_columns(n, accepted.clone()).expect("stream columns valid");
         match session.seal() {
             Ok(SealOutcome::Order(order)) => {
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-                // the acceptance criterion, verbatim: a delivered seal is
-                // bit-identical to the fault-free one-shot solve
-                match c1p_core::solve(&fin) {
-                    Ok(expect) if expect == order => {}
-                    _ => {
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                bump(&tally.completed);
+                check.seal(&order, tally);
             }
             Ok(SealOutcome::LostButSealed) => {
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-                chaos.lost_seals.fetch_add(1, Ordering::Relaxed);
+                bump(&tally.completed);
+                bump(&chaos.lost_seals);
                 // the reply is unrecoverable but the order is not: solve
-                // the accepted concatenation and verify the witness
+                // the accepted concatenation and verify the answer
+                let fin = check.accepted_ensemble();
                 match client.solve(&fin) {
-                    Ok(WireVerdict::Accept { order }) => {
-                        if verify_linear(&fin, &order).is_err() {
-                            tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                        }
+                    Ok(verdict) => {
+                        check_verdict(&fin, true, &verdict, tally);
                     }
-                    Ok(other) => {
-                        eprintln!("stream {s}: post-seal solve rejected: {other:?}");
-                        tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(ClientError::DeadlineExceeded { .. }) => {
-                        chaos.hangs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        eprintln!("stream {s}: post-seal solve failed: {e}");
-                        tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+                    Err(e) => chaos.failed(&format!("stream {s}: post-seal solve"), &e, tally),
                 }
             }
-            Err(ClientError::DeadlineExceeded { .. }) => {
-                chaos.hangs.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                eprintln!("stream {s} seal: {e}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(e) => chaos.failed(&format!("stream {s} seal"), &e, tally),
         }
     }
     client.retries()
@@ -1628,7 +1458,6 @@ fn drive_chaos_solves(
     tally: &Tally,
     chaos: &ChaosTally,
 ) -> u64 {
-    use c1p_net::client::{Client, ClientError};
     let schedule = mixed_schedule(MixedSchedule {
         requests: solves,
         seed: seed ^ 0x50_1f,
@@ -1640,122 +1469,212 @@ fn drive_chaos_solves(
     let mut client = Client::new(addr, chaos_policy(seed ^ 0x50_1f));
     for (i, ens) in schedule.iter().enumerate() {
         match client.solve(ens) {
-            Ok(WireVerdict::Accept { order }) => {
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-                if verify_linear(ens, &order).is_err() {
-                    tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                if c1p_core::solve(ens).is_err() {
-                    tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                }
+            Ok(verdict) => {
+                bump(&tally.completed);
+                check_verdict(ens, c1p_core::solve(ens).is_ok(), &verdict, tally);
             }
-            Ok(WireVerdict::Reject { family, atom_rows, column_ids }) => {
-                tally.completed.fetch_add(1, Ordering::Relaxed);
-                let witness = TuckerWitness { family, atom_rows, column_ids };
-                if verify_witness(ens, &witness).is_err() {
-                    tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                }
-                if c1p_core::solve(ens).is_ok() {
-                    tally.disagreements.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(ClientError::DeadlineExceeded { .. }) => {
-                chaos.hangs.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                eprintln!("solve {i}: {e}");
-                tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(e) => chaos.failed(&format!("solve {i}"), &e, tally),
         }
     }
     client.retries()
 }
 
-/// Solves the warm-start probe and verifies the witness. Returns false on
-/// any protocol or verification failure.
-fn solve_probe(addr: &str, probe: &Ensemble, tally: &Tally) -> bool {
-    let Ok(stream) = TcpStream::connect(addr) else {
-        return false;
-    };
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut writer = BufWriter::new(stream);
-    let msg = Msg::Solve { id: 1, ens: probe.clone() };
-    if write_frame(&mut writer, &encode_msg(&msg)).and_then(|()| writer.flush()).is_err() {
-        return false;
-    }
-    let Ok(Some(payload)) = read_frame(&mut reader, DEFAULT_MAX_FRAME) else {
-        return false;
-    };
-    match decode_msg(&payload) {
-        Ok(Msg::Verdict { id: 1, verdict: WireVerdict::Accept { order } }) => {
-            if verify_linear(probe, &order).is_err() {
-                tally.verify_failures.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            true
-        }
-        _ => false,
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Polls the bare-port file a spawned `c1pd --port-file` writes.
-fn wait_port(path: &std::path::Path) -> u16 {
-    let deadline = Instant::now() + std::time::Duration::from_secs(30);
-    while Instant::now() < deadline {
-        if let Ok(s) = std::fs::read_to_string(path) {
-            if let Ok(port) = s.trim().parse() {
-                return port;
-            }
+    /// incr-smoke's streams: `--mode sessions --streams 12 --pushes 6
+    /// --seed 3271` with the session-mode defaults.
+    fn smoke_spec() -> PlanSpec {
+        PlanSpec {
+            streams: 12,
+            pushes: 6,
+            blocks: 4,
+            seed: 3271,
+            reject_every: 3,
+            n_lo: 64,
+            n_hi: 192,
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
     }
-    panic!("server did not write {} within 30s", path.display());
-}
 
-/// Polls a stats counter until it reaches `min` (10s cap).
-fn wait_stat_at_least(addr: &str, key: &str, min: i64) -> bool {
-    let deadline = Instant::now() + std::time::Duration::from_secs(10);
-    while Instant::now() < deadline {
-        if fetch_stat(addr, key).unwrap_or(-1) >= min {
-            return true;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
+    /// Smoke stream 11: 92 atoms, 6 pushes, the reject planted at push 4.
+    fn reject_plan() -> StreamPlan {
+        let plan = smoke_spec().plans().swap_remove(11);
+        assert_eq!(plan.reject_at, Some(PLANTED));
+        plan
     }
-    false
-}
 
-/// Prints the server's durability counters (zeros on a non-durable server).
-fn print_durability(addr: &str) {
-    let get = |key: &str| fetch_stat(addr, key).unwrap_or(-1);
-    println!(
-        "durability: wal appends {} | wal fsyncs {} | recovered sessions {} | \
-         quarantined wals {} | snapshot writes {} | warm-start hits {}",
-        get("\"wal_appends\":"),
-        get("\"wal_fsyncs\":"),
-        get("\"recovered_sessions\":"),
-        get("\"quarantined_wals\":"),
-        get("\"snapshot_writes\":"),
-        get("\"warm_start_hits\":"),
-    );
-}
+    const PLANTED: usize = 4;
 
-/// Queries the server's stats frame and scans one integer field out of the
-/// JSON (the driver carries no JSON parser by design, matching par_smoke).
-fn fetch_stat(addr: &str, key: &str) -> Option<i64> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
-    let mut writer = BufWriter::new(stream);
-    write_frame(&mut writer, &encode_msg(&Msg::GetStats)).ok()?;
-    writer.flush().ok()?;
-    let payload = read_frame(&mut reader, DEFAULT_MAX_FRAME).ok()??;
-    match decode_msg(&payload).ok()? {
-        Msg::Stats { json } => {
-            let at = json.find(key)?;
-            let rest = json[at + key.len()..].trim_start();
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            rest[..end].trim().parse().ok()
+    /// What an honest server answers to push `k` on top of `check`'s
+    /// accepted prefix.
+    fn honest(check: &StreamCheck, k: usize) -> WireVerdict {
+        let concat = [&check.accepted[..], &check.plan.stream.pushes[k][..]].concat();
+        let concat = Ensemble::from_columns(check.n(), concat).unwrap();
+        match c1p_cert::solve_certified(&concat) {
+            Ok(order) => WireVerdict::Accept { order },
+            Err(cert) => WireVerdict::Reject {
+                family: cert.witness.family,
+                atom_rows: cert.witness.atom_rows,
+                column_ids: cert.witness.column_ids,
+            },
         }
-        _ => None,
+    }
+
+    /// A checker whose pushes `0..k` were answered honestly.
+    fn settled_up_to<'p>(plan: &'p StreamPlan, k: usize, tally: &Tally) -> StreamCheck<'p> {
+        let mut check = StreamCheck::new(plan);
+        for j in 0..k {
+            check.push(j);
+            let verdict = honest(&check, j);
+            check.settle(j, PushOutcome::Verdict(verdict), tally);
+        }
+        check
+    }
+
+    /// `[verify failures, disagreements]`.
+    fn counts(tally: &Tally) -> [u64; 2] {
+        [get(&tally.verify_failures), get(&tally.disagreements)]
+    }
+
+    #[test]
+    fn plan_builder_replays_the_incr_smoke_streams() {
+        let got: Vec<(usize, Option<usize>)> =
+            smoke_spec().plans().iter().map(|p| (p.stream.n_atoms, p.reject_at)).collect();
+        let want = [
+            (138, None),
+            (169, None),
+            (71, Some(5)),
+            (102, None),
+            (133, None),
+            (164, Some(0)),
+            (66, None),
+            (97, None),
+            (128, Some(0)),
+            (159, None),
+            (190, None),
+            (92, Some(4)),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn an_honest_stream_settles_and_seals_without_a_count() {
+        let plan = reject_plan();
+        let tally = Tally::default();
+        let check = settled_up_to(&plan, plan.stream.pushes.len(), &tally);
+        let order = c1p_core::solve(&check.accepted_ensemble()).unwrap();
+        check.seal(&order, &tally);
+        assert_eq!(counts(&tally), [0, 0]);
+        // every push but the planted one joined the prefix
+        let kept = plan.stream.n_columns() - plan.stream.pushes[PLANTED].len();
+        assert_eq!(check.accepted.len(), kept);
+    }
+
+    #[test]
+    fn an_accept_whose_order_fails_verify_linear_is_a_verify_failure() {
+        let plan = reject_plan();
+        let tally = Tally::default();
+        let mut check = settled_up_to(&plan, 1, &tally);
+        assert!(check.push(1).1);
+        let WireVerdict::Accept { mut order } = honest(&check, 1) else { panic!("push 1 accepts") };
+        order.pop();
+        check.settle(1, PushOutcome::Verdict(WireVerdict::Accept { order }), &tally);
+        assert_eq!(counts(&tally), [1, 0]);
+    }
+
+    #[test]
+    fn an_accept_on_the_planted_reject_push_is_a_disagreement() {
+        let plan = reject_plan();
+        let tally = Tally::default();
+        let mut check = settled_up_to(&plan, PLANTED, &tally);
+        assert!(!check.push(PLANTED).1);
+        let order = (0..check.n() as Atom).collect();
+        check.settle(PLANTED, PushOutcome::Verdict(WireVerdict::Accept { order }), &tally);
+        // no order realizes a non-C1P concatenation, so it fails to verify too
+        assert_eq!(counts(&tally), [1, 1]);
+    }
+
+    #[test]
+    fn a_reject_whose_witness_does_not_verify_is_a_verify_failure() {
+        let plan = reject_plan();
+        let tally = Tally::default();
+        let mut check = settled_up_to(&plan, PLANTED, &tally);
+        check.push(PLANTED);
+        let WireVerdict::Reject { family, atom_rows, mut column_ids } = honest(&check, PLANTED)
+        else {
+            panic!("the planted push rejects")
+        };
+        // a minimal witness minus a column is C1P: nothing to refute
+        column_ids.pop();
+        let verdict = WireVerdict::Reject { family, atom_rows, column_ids };
+        check.settle(PLANTED, PushOutcome::Verdict(verdict), &tally);
+        assert_eq!(counts(&tally), [1, 0]);
+    }
+
+    #[test]
+    fn a_reject_on_a_push_that_should_accept_is_a_disagreement() {
+        let plan = reject_plan();
+        let tally = Tally::default();
+        let planted = {
+            let mut check = settled_up_to(&plan, PLANTED, &Tally::default());
+            check.push(PLANTED);
+            honest(&check, PLANTED)
+        };
+        let mut check = StreamCheck::new(&plan);
+        check.push(0);
+        check.settle(0, PushOutcome::Verdict(planted), &tally);
+        // a C1P concatenation has no Tucker witness either
+        assert_eq!(counts(&tally), [1, 1]);
+    }
+
+    #[test]
+    fn the_mirror_and_the_planted_index_are_each_checked() {
+        // the plan misplaces its planted reject: an honest accept of push
+        // 0 agrees with the mirror but lands on the planted index
+        let mut plan = reject_plan();
+        plan.reject_at = Some(0);
+        let tally = Tally::default();
+        settled_up_to(&plan, 1, &tally);
+        assert_eq!(counts(&tally), [0, 1]);
+        // the plan forgets its planted reject: an accept of that push
+        // agrees with the plan but not with the mirror
+        plan.reject_at = None;
+        let tally = Tally::default();
+        let mut check = settled_up_to(&plan, PLANTED, &tally);
+        check.push(PLANTED);
+        check.settle(PLANTED, PushOutcome::RecoveredAccepted, &tally);
+        assert_eq!(counts(&tally), [0, 1]);
+    }
+
+    #[test]
+    fn a_recovered_push_commits_with_the_disagreement_check_alone() {
+        let plan = reject_plan();
+        let tally = Tally::default();
+        let mut check = StreamCheck::new(&plan);
+        check.push(0);
+        check.settle(0, PushOutcome::RecoveredAccepted, &tally);
+        assert_eq!(counts(&tally), [0, 0]);
+        assert_eq!(check.accepted, plan.stream.pushes[0]);
+    }
+
+    #[test]
+    fn after_a_reject_the_next_honest_push_is_predicted_to_accept() {
+        let plan = reject_plan();
+        let tally = Tally::default();
+        let mut check = settled_up_to(&plan, PLANTED + 1, &tally);
+        assert_eq!(counts(&tally), [0, 0]);
+        assert!(check.push(PLANTED + 1).1);
+    }
+
+    #[test]
+    fn a_seal_that_differs_from_the_one_shot_solve_is_a_disagreement() {
+        let plan = reject_plan();
+        let tally = Tally::default();
+        let check = settled_up_to(&plan, plan.stream.pushes.len(), &tally);
+        let mut order = c1p_core::solve(&check.accepted_ensemble()).unwrap();
+        order.reverse();
+        check.seal(&order, &tally);
+        assert_eq!(counts(&tally), [0, 1]);
     }
 }

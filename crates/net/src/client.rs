@@ -218,11 +218,9 @@ impl Client {
 
     /// splitmix64 step — the jitter source.
     fn rand(&mut self) -> u64 {
+        let z = crate::trace::splitmix64(self.rng);
         self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Sleeps the next decorrelated-jitter interval, truncated to the
@@ -582,6 +580,32 @@ mod tests {
         };
         assert_eq!(mk(3), mk(3));
         assert_ne!(mk(3), mk(4));
+    }
+
+    #[test]
+    fn shared_hash_helpers_keep_their_pinned_values() {
+        // trace ids, socket-fault schedules and retry jitter all draw on
+        // `trace::splitmix64` and `c1p_matrix::io::fnv1a`: a change to
+        // either would move recorded trace ids and replayed chaos runs
+        assert_eq!(crate::trace::trace_id_for(b"abc", 1), 0x9fdb_bdeb_ae79_8d2d);
+        let plan = crate::fault::FaultPlan::seeded(7).with_read_every(3);
+        let reads: Vec<String> = (0..64)
+            .map(|_| match plan.read_fault() {
+                None => ".".into(),
+                Some(crate::fault::SocketFault::Error) => "E".into(),
+                Some(crate::fault::SocketFault::Disconnect) => "D".into(),
+                Some(crate::fault::SocketFault::Short(n)) => format!("S{n}"),
+                Some(crate::fault::SocketFault::Delay(d)) => format!("Y{}", d.as_millis()),
+            })
+            .collect();
+        assert_eq!(
+            reads.join(" "),
+            ". . S63 . . S49 . . E . . Y4 . . Y4 . . Y4 . . Y1 . . Y3 . . D . . E . . S8 . . \
+             S23 . . D . . D . . Y2 . . S62 . . Y2 . . S27 . . E . . E . . E ."
+        );
+        let mut c = Client::new("127.0.0.1:1", RetryPolicy { seed: 42, ..RetryPolicy::default() });
+        let jitter = [c.rand(), c.rand(), c.rand()];
+        assert_eq!(jitter, [0xba69_ec90_eb4f_ef88, 0x9cde_9885_2e60_034b, 0x6ec6_24aa_8568_5867]);
     }
 
     #[test]

@@ -20,20 +20,10 @@
 //! schedule — which op faults, and how — is a pure function of the op
 //! index, so a chaos run is exactly reproducible.
 
+use crate::trace::splitmix64;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Splitmix64: the one-instruction-ish seeded mixer used across the
-/// workspace for deterministic choices.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// One injected socket fault, chosen deterministically per faulted op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +133,7 @@ impl FaultPlan {
         if every == 0 {
             return false;
         }
-        let phase = mix(self.seed ^ k) % every;
+        let phase = splitmix64(self.seed ^ k) % every;
         i % every == phase
     }
 
@@ -184,7 +174,7 @@ impl FaultPlan {
             return Some(ReplyFault::Drop);
         }
         if self.fires(self.delay_every, 5, i) {
-            let ms = 1 + mix(self.seed ^ 5 ^ i) % 40;
+            let ms = 1 + splitmix64(self.seed ^ 5 ^ i) % 40;
             return Some(ReplyFault::Delay(Duration::from_millis(ms)));
         }
         None
@@ -193,7 +183,7 @@ impl FaultPlan {
     /// The flavor of socket fault for op `i` of schedule `k` — a pure
     /// function of the seed, so runs replay identically.
     fn socket_flavor(&self, k: u64, i: u64) -> SocketFault {
-        let r = mix(self.seed ^ (k << 32) ^ i);
+        let r = splitmix64(self.seed ^ (k << 32) ^ i);
         match r % 4 {
             0 => SocketFault::Error,
             1 => SocketFault::Disconnect,

@@ -5,12 +5,13 @@
 //! decides *which* requests get a recorder and *which* finished traces
 //! are worth keeping:
 //!
-//! * **Trace ids are content-derived.** `splitmix64(fnv1a64(payload) ^
-//!   seed)` — a function of the request bytes and the server's
-//!   `--trace-seed`, not of arrival time or connection identity. The
-//!   same seeded request carries the same id whatever the shard count,
-//!   which is what makes the cross-shard-count stability test (and
-//!   debugging across deployments) possible.
+//! * **Trace ids are content-derived.** `splitmix64(fnv1a(payload) ^
+//!   seed)`, with [`c1p_matrix::io::fnv1a`] — a function of the request
+//!   bytes and the server's `--trace-seed`, not of arrival time or
+//!   connection identity. The same seeded request carries the same id
+//!   whatever the shard count, which is what makes the
+//!   cross-shard-count stability test (and debugging across
+//!   deployments) possible.
 //! * **Head-sampling is deterministic.** A request is head-sampled iff
 //!   `splitmix64(trace_id ^ seed) % sample_every == 0`; `--trace-sample
 //!   0` disables tracing entirely and every hook collapses to an
@@ -53,17 +54,9 @@ impl Default for TraceConfig {
     }
 }
 
-/// FNV-1a over `bytes` — the same hash family the router uses.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// SplitMix64 finalizer — decorrelates the structured FNV output.
+/// SplitMix64 finalizer — decorrelates the structured FNV output. The
+/// crate's one seeded mixer: fault schedules and the retry client's
+/// jitter draw from it too.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -73,7 +66,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 /// The deterministic, content-derived trace id of a request payload.
 pub fn trace_id_for(payload: &[u8], seed: u64) -> u64 {
-    splitmix64(fnv1a64(payload) ^ seed)
+    splitmix64(c1p_matrix::io::fnv1a(payload) ^ seed)
 }
 
 /// Why a trace was retained.
