@@ -40,8 +40,8 @@
 //! chosen by the client and echoed verbatim; the server answers every
 //! frame in order, one response per request.
 
-use c1p_matrix::io::WireVerdict;
 use c1p_matrix::io::{decode_ensemble, decode_verdict, encode_ensemble, encode_verdict};
+use c1p_matrix::io::{ReadError, ReadErrorKind, Reader, WireVerdict};
 use c1p_matrix::{Ensemble, EnsembleError};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -319,6 +319,16 @@ impl From<EnsembleError> for ProtoError {
     }
 }
 
+impl From<ReadError> for ProtoError {
+    fn from(e: ReadError) -> Self {
+        match e.kind {
+            ReadErrorKind::Truncated(_) => ProtoError::Truncated,
+            ReadErrorKind::Trailing(n) => ProtoError::Trailing(n),
+            ReadErrorKind::Invalid(_) => ProtoError::Wire(e.into()),
+        }
+    }
+}
+
 /// Encodes a message into a frame payload (no length prefix).
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
@@ -404,130 +414,71 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
 }
 
 /// Decodes a frame payload. Never panics on malformed input.
+///
+/// One trailing-bytes rule covers every message: bytes after the last
+/// field are [`ProtoError::Trailing`]. It outranks a bad value in that
+/// last field (a `Pong` flag byte), never an earlier one.
 pub fn decode_msg(payload: &[u8]) -> Result<Msg, ProtoError> {
-    let (&tag, rest) = payload.split_first().ok_or(ProtoError::Truncated)?;
-    let u64_at = |b: &[u8]| -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(b.get(..8).ok_or(ProtoError::Truncated)?.try_into().unwrap()))
-    };
-    match tag {
-        TAG_SOLVE => {
-            let id = u64_at(rest)?;
-            Ok(Msg::Solve { id, ens: decode_ensemble(&rest[8..])? })
-        }
-        TAG_VERDICT => {
-            let id = u64_at(rest)?;
-            Ok(Msg::Verdict { id, verdict: decode_verdict(&rest[8..])? })
-        }
+    let mut r = Reader::new(payload);
+    let tag = r.u8("tag")?;
+    let text = |b: &[u8]| String::from_utf8(b.to_vec()).map_err(|_| ProtoError::BadUtf8);
+    let msg = match tag {
+        TAG_SOLVE => Ok(Msg::Solve { id: r.u64_le("id")?, ens: decode_ensemble(r.rest())? }),
+        TAG_VERDICT => Ok(Msg::Verdict { id: r.u64_le("id")?, verdict: decode_verdict(r.rest())? }),
         TAG_ERROR => {
-            let id = u64_at(rest)?;
-            let &code = rest.get(8).ok_or(ProtoError::Truncated)?;
+            let id = r.u64_le("id")?;
+            let code = r.u8("error code")?;
             let code = ErrorCode::from_u8(code).ok_or(ProtoError::BadCode(code))?;
-            let message = String::from_utf8(rest[9..].to_vec()).map_err(|_| ProtoError::BadUtf8)?;
-            Ok(Msg::Error { id, code, message })
+            Ok(Msg::Error { id, code, message: text(r.rest())? })
         }
-        TAG_GET_STATS => {
-            if rest.is_empty() {
-                Ok(Msg::GetStats)
-            } else {
-                Err(ProtoError::Trailing(rest.len()))
-            }
-        }
-        TAG_STATS => Ok(Msg::Stats {
-            json: String::from_utf8(rest.to_vec()).map_err(|_| ProtoError::BadUtf8)?,
-        }),
+        TAG_GET_STATS => Ok(Msg::GetStats),
+        TAG_STATS => Ok(Msg::Stats { json: text(r.rest())? }),
         TAG_OPEN_SESSION => {
-            let id = u64_at(rest)?;
-            let n_atoms = u64_at(rest.get(8..).ok_or(ProtoError::Truncated)?)?;
-            if rest.len() > 16 {
-                return Err(ProtoError::Trailing(rest.len() - 16));
-            }
-            Ok(Msg::OpenSession { id, n_atoms })
+            Ok(Msg::OpenSession { id: r.u64_le("id")?, n_atoms: r.u64_le("n_atoms")? })
         }
-        TAG_PUSH_ATOMS => {
-            let id = u64_at(rest)?;
-            let session = u64_at(rest.get(8..).ok_or(ProtoError::Truncated)?)?;
-            Ok(Msg::PushAtoms { id, session, delta: decode_ensemble(&rest[16..])? })
-        }
-        TAG_SEAL_SESSION => {
-            let id = u64_at(rest)?;
-            let session = u64_at(rest.get(8..).ok_or(ProtoError::Truncated)?)?;
-            if rest.len() > 16 {
-                return Err(ProtoError::Trailing(rest.len() - 16));
-            }
-            Ok(Msg::SealSession { id, session })
-        }
-        TAG_SESSION_VERDICT => {
-            let id = u64_at(rest)?;
-            let session = u64_at(rest.get(8..).ok_or(ProtoError::Truncated)?)?;
-            Ok(Msg::SessionVerdict { id, session, verdict: decode_verdict(&rest[16..])? })
-        }
-        TAG_GET_METRICS => {
-            if rest.is_empty() {
-                Ok(Msg::GetMetrics)
-            } else {
-                Err(ProtoError::Trailing(rest.len()))
-            }
-        }
-        TAG_METRICS => Ok(Msg::Metrics {
-            text: String::from_utf8(rest.to_vec()).map_err(|_| ProtoError::BadUtf8)?,
+        TAG_PUSH_ATOMS => Ok(Msg::PushAtoms {
+            id: r.u64_le("id")?,
+            session: r.u64_le("session")?,
+            delta: decode_ensemble(r.rest())?,
         }),
-        TAG_PING => {
-            let id = u64_at(rest)?;
-            if rest.len() > 8 {
-                return Err(ProtoError::Trailing(rest.len() - 8));
-            }
-            Ok(Msg::Ping { id })
+        TAG_SEAL_SESSION => {
+            Ok(Msg::SealSession { id: r.u64_le("id")?, session: r.u64_le("session")? })
         }
+        TAG_SESSION_VERDICT => Ok(Msg::SessionVerdict {
+            id: r.u64_le("id")?,
+            session: r.u64_le("session")?,
+            verdict: decode_verdict(r.rest())?,
+        }),
+        TAG_GET_METRICS => Ok(Msg::GetMetrics),
+        TAG_METRICS => Ok(Msg::Metrics { text: text(r.rest())? }),
+        TAG_PING => Ok(Msg::Ping { id: r.u64_le("id")? }),
         TAG_PONG => {
-            let id = u64_at(rest)?;
-            let &wal = rest.get(8).ok_or(ProtoError::Truncated)?;
+            let id = r.u64_le("id")?;
+            let wal = r.u8("wal health")?;
             let wal = WalHealth::from_u8(wal).ok_or(ProtoError::BadCode(wal))?;
-            let n = u32::from_le_bytes(
-                rest.get(9..13).ok_or(ProtoError::Truncated)?.try_into().unwrap(),
-            ) as usize;
-            let flags = rest.get(13..).ok_or(ProtoError::Truncated)?;
-            if flags.len() < n {
-                return Err(ProtoError::Truncated);
-            }
-            if flags.len() > n {
-                return Err(ProtoError::Trailing(flags.len() - n));
-            }
-            let shards = flags
+            let n = r.u32_le("shard count")? as usize;
+            // no `?` on the flags: the trailing-bytes rule goes first
+            r.take(n, "shard flags")?
                 .iter()
                 .map(|&b| ShardHealth::from_byte(b).ok_or(ProtoError::BadCode(b)))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Msg::Pong { id, wal, shards })
+                .collect::<Result<_, _>>()
+                .map(|shards| Msg::Pong { id, wal, shards })
         }
         TAG_QUERY_SESSION => {
-            let id = u64_at(rest)?;
-            let session = u64_at(rest.get(8..).ok_or(ProtoError::Truncated)?)?;
-            if rest.len() > 16 {
-                return Err(ProtoError::Trailing(rest.len() - 16));
-            }
-            Ok(Msg::QuerySession { id, session })
+            Ok(Msg::QuerySession { id: r.u64_le("id")?, session: r.u64_le("session")? })
         }
-        TAG_SESSION_STATUS => {
-            let id = u64_at(rest)?;
-            let session = u64_at(rest.get(8..).ok_or(ProtoError::Truncated)?)?;
-            let stream_hash = u64_at(rest.get(16..).ok_or(ProtoError::Truncated)?)?;
-            let columns = u64_at(rest.get(24..).ok_or(ProtoError::Truncated)?)?;
-            if rest.len() > 32 {
-                return Err(ProtoError::Trailing(rest.len() - 32));
-            }
-            Ok(Msg::SessionStatus { id, session, stream_hash, columns })
-        }
-        TAG_GET_TRACES => {
-            if rest.is_empty() {
-                Ok(Msg::GetTraces)
-            } else {
-                Err(ProtoError::Trailing(rest.len()))
-            }
-        }
-        TAG_TRACES => Ok(Msg::Traces {
-            jsonl: String::from_utf8(rest.to_vec()).map_err(|_| ProtoError::BadUtf8)?,
+        TAG_SESSION_STATUS => Ok(Msg::SessionStatus {
+            id: r.u64_le("id")?,
+            session: r.u64_le("session")?,
+            stream_hash: r.u64_le("stream hash")?,
+            columns: r.u64_le("columns")?,
         }),
-        other => Err(ProtoError::BadTag(other)),
-    }
+        TAG_GET_TRACES => Ok(Msg::GetTraces),
+        TAG_TRACES => Ok(Msg::Traces { jsonl: text(r.rest())? }),
+        other => return Err(ProtoError::BadTag(other)),
+    };
+    r.expect_end()?;
+    msg
 }
 
 /// Writes one frame (length prefix + payload). The caller flushes.
@@ -563,106 +514,6 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> io::Result<Option<Vec<u8
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// [`read_frame`] for a graceful shutdown: the stream has a read timeout,
-/// and `stop` is consulted only *between* frames — a connection mid-frame
-/// drains the frame it started (the server answers it), while an idle
-/// connection notices the flag within one timeout tick and closes.
-/// Returns `Ok(None)` both on clean EOF and on a stop at a frame
-/// boundary.
-///
-/// `stall` is the mid-frame no-progress budget (`c1pd --read-timeout-ms`):
-/// once any byte of a frame has arrived, the peer must keep making
-/// progress — a partial frame that advances by zero bytes for `stall`
-/// errors with [`io::ErrorKind::TimedOut`] (the slow-loris defence).
-/// `None` waits forever, the pre-flag behavior. Idle connections between
-/// frames are never subject to the budget.
-pub fn read_frame_until(
-    r: &mut impl Read,
-    max_len: usize,
-    stop: &std::sync::atomic::AtomicBool,
-    stall: Option<std::time::Duration>,
-) -> io::Result<Option<Vec<u8>>> {
-    use std::sync::atomic::Ordering;
-    use std::time::Instant;
-    let stalled_out = |since: &mut Option<Instant>| match (stall, &since) {
-        (Some(budget), Some(t0)) => t0.elapsed() >= budget,
-        (Some(_), None) => {
-            *since = Some(Instant::now());
-            false
-        }
-        (None, _) => false,
-    };
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    // armed once the first byte of the frame lands, reset on progress
-    let mut since: Option<Instant> = None;
-    while got < 4 {
-        if got == 0 && stop.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(None);
-                }
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated frame length"));
-            }
-            Ok(n) => {
-                got += n;
-                since = None;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if got > 0 && stalled_out(&mut since) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "stalled mid-frame past the read-timeout budget",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {max_len}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    let mut at = 0;
-    since = None;
-    while at < len {
-        match r.read(&mut payload[at..]) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated frame body"))
-            }
-            Ok(n) => {
-                at += n;
-                since = None;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if stalled_out(&mut since) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "stalled mid-frame past the read-timeout budget",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
     Ok(Some(payload))
 }
 
@@ -800,44 +651,6 @@ mod tests {
     #[test]
     fn get_metrics_polices_trailing_bytes() {
         assert_eq!(decode_msg(&[TAG_GET_METRICS, 9]), Err(ProtoError::Trailing(1)));
-    }
-
-    #[test]
-    fn read_frame_until_times_out_only_mid_frame() {
-        use std::io::Write;
-        use std::os::unix::net::UnixStream;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        use std::time::{Duration, Instant};
-        let stop = Arc::new(AtomicBool::new(false));
-        let (mut tx, mut rx) = UnixStream::pair().unwrap();
-        rx.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
-        // idle between frames: the 40 ms stall budget never arms; the
-        // connection lives until the stop flag ends it at ~120 ms
-        let t0 = Instant::now();
-        let stopper = std::thread::spawn({
-            let stop = Arc::clone(&stop);
-            move || {
-                std::thread::sleep(Duration::from_millis(120));
-                stop.store(true, Ordering::Release);
-            }
-        });
-        let got = read_frame_until(&mut rx, 1024, &stop, Some(Duration::from_millis(40))).unwrap();
-        stopper.join().unwrap();
-        assert_eq!(got, None, "stop at a frame boundary reads as end-of-stream");
-        assert!(t0.elapsed() >= Duration::from_millis(100), "idle must outlive the stall budget");
-        // a partial frame arms the budget: one prefix byte, then silence
-        stop.store(false, Ordering::Release);
-        tx.write_all(&[4u8]).unwrap();
-        let err = read_frame_until(&mut rx, 1024, &stop, Some(Duration::from_millis(40)))
-            .expect_err("a stalled partial frame must time out");
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        // ... and a stalled body does too
-        stop.store(false, Ordering::Release);
-        tx.write_all(&[8, 0, 0, 0, TAG_GET_STATS]).unwrap();
-        let err = read_frame_until(&mut rx, 1024, &stop, Some(Duration::from_millis(40)))
-            .expect_err("a stalled frame body must time out");
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
 
     #[test]

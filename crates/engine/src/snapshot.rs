@@ -32,7 +32,8 @@
 use crate::Verdict;
 use c1p_cert::TuckerWitness;
 use c1p_core::{RejectSite, Rejection};
-use c1p_matrix::io::{decode_ensemble, decode_verdict, encode_verdict, fnv1a, WireVerdict};
+use c1p_matrix::io::{decode_ensemble, decode_verdict, encode_verdict, fnv1a};
+use c1p_matrix::io::{ReadError, Reader, WireVerdict};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -104,29 +105,9 @@ pub fn encode(entries: &[(&[u8], &Verdict)]) -> Vec<u8> {
     out
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SnapshotDamage> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.buf.len()).ok_or_else(|| {
-            SnapshotDamage {
-                reason: format!("{what} at byte {} runs past the end of the snapshot", self.at),
-            }
-        })?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, SnapshotDamage> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, SnapshotDamage> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+impl From<ReadError> for SnapshotDamage {
+    fn from(e: ReadError) -> Self {
+        SnapshotDamage { reason: e.to_string() }
     }
 }
 
@@ -134,63 +115,59 @@ impl<'a> Cursor<'a> {
 /// the order they were written (oldest-touched first — re-inserting in
 /// order reproduces the LRU ordering).
 pub fn decode(buf: &[u8]) -> Result<Vec<(Vec<u8>, Verdict)>, SnapshotDamage> {
+    let damage = |reason: String| SnapshotDamage { reason };
     if buf.len() < SNAP_MAGIC.len() + 1 + 4 + 8 {
-        return Err(SnapshotDamage { reason: "file shorter than an empty snapshot".to_string() });
+        return Err(damage("file shorter than an empty snapshot".to_string()));
     }
-    let (body, crc_bytes) = buf.split_at(buf.len() - 8);
-    let crc = u64::from_le_bytes(crc_bytes.try_into().unwrap());
-    if fnv1a(body) != crc {
-        return Err(SnapshotDamage { reason: "whole-file checksum mismatch".to_string() });
+    let mut file = Reader::new(buf);
+    let body = file.take(buf.len() - 8, "body")?;
+    if fnv1a(body) != file.u64_le("checksum")? {
+        return Err(damage("whole-file checksum mismatch".to_string()));
     }
-    let mut c = Cursor { buf: body, at: 0 };
-    if c.take(4, "magic")? != SNAP_MAGIC {
-        return Err(SnapshotDamage { reason: "bad magic".to_string() });
+    let mut r = Reader::new(body);
+    if r.take(4, "magic")? != SNAP_MAGIC {
+        return Err(damage("bad magic".to_string()));
     }
-    let version = c.u8("version")?;
+    let version = r.u8("version")?;
     if version != SNAP_VERSION {
-        return Err(SnapshotDamage { reason: format!("unsupported snapshot version {version}") });
+        return Err(damage(format!("unsupported snapshot version {version}")));
     }
-    let count = c.u32("entry count")? as usize;
+    let count = r.u32_le("entry count")? as usize;
     // bounds-check before allocation: even an empty entry takes ≥ 9 bytes
     if count > body.len() / 9 {
-        return Err(SnapshotDamage {
-            reason: format!("entry count {count} impossible for a {}-byte file", buf.len()),
-        });
+        return Err(damage(format!(
+            "entry count {count} impossible for a {}-byte file",
+            buf.len()
+        )));
     }
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
-        let klen = c.u32("key length")? as usize;
-        let key = c.take(klen, "key")?;
-        decode_ensemble(key).map_err(|e| SnapshotDamage {
-            reason: format!("entry {i}: key is not a valid ensemble encoding: {e}"),
-        })?;
-        let vlen = c.u32("verdict length")? as usize;
-        let vbytes = c.take(vlen, "verdict")?;
-        let wire = decode_verdict(vbytes)
-            .map_err(|e| SnapshotDamage { reason: format!("entry {i}: bad verdict: {e}") })?;
-        let site = c.u8("rejection site")?;
+        let klen = r.u32_le("key length")? as usize;
+        let key = r.take(klen, "key")?;
+        decode_ensemble(key)
+            .map_err(|e| damage(format!("entry {i}: key is not a valid ensemble encoding: {e}")))?;
+        let vlen = r.u32_le("verdict length")? as usize;
+        let wire = decode_verdict(r.take(vlen, "verdict")?)
+            .map_err(|e| damage(format!("entry {i}: bad verdict: {e}")))?;
+        let site = r.u8("rejection site")?;
         let verdict = match (wire, site) {
             (WireVerdict::Accept { order }, 0) => Verdict::C1p { order },
             (WireVerdict::Accept { .. }, s) => {
-                return Err(SnapshotDamage {
-                    reason: format!("entry {i}: accept carries rejection site {s}"),
-                });
+                return Err(damage(format!("entry {i}: accept carries rejection site {s}")));
             }
             (WireVerdict::Reject { family, atom_rows, column_ids }, s) => {
-                let site = site_from_tag(s).ok_or_else(|| SnapshotDamage {
-                    reason: format!("entry {i}: unknown rejection site {s}"),
-                })?;
-                let natoms = c.u32("rejection atom count")? as usize;
+                let site = site_from_tag(s)
+                    .ok_or_else(|| damage(format!("entry {i}: unknown rejection site {s}")))?;
+                let natoms = r.u32_le("rejection atom count")? as usize;
                 // bounds-check before allocation
-                if natoms > (body.len() - c.at) / 4 {
-                    return Err(SnapshotDamage {
-                        reason: format!("entry {i}: rejection atom count {natoms} overruns file"),
-                    });
+                if natoms > r.remaining() / 4 {
+                    return Err(damage(format!(
+                        "entry {i}: rejection atom count {natoms} overruns file"
+                    )));
                 }
                 let mut atoms = Vec::with_capacity(natoms);
                 for _ in 0..natoms {
-                    atoms
-                        .push(u32::from_le_bytes(c.take(4, "rejection atom")?.try_into().unwrap()));
+                    atoms.push(r.u32_le("rejection atom")?);
                 }
                 Verdict::NotC1p {
                     rejection: Rejection { site, atoms },
@@ -200,11 +177,7 @@ pub fn decode(buf: &[u8]) -> Result<Vec<(Vec<u8>, Verdict)>, SnapshotDamage> {
         };
         out.push((key.to_vec(), verdict));
     }
-    if c.at != body.len() {
-        return Err(SnapshotDamage {
-            reason: format!("{} trailing bytes after the last entry", body.len() - c.at),
-        });
-    }
+    r.expect_end()?;
     Ok(out)
 }
 

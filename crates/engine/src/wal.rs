@@ -42,7 +42,8 @@
 use c1p_core::{solve_with, Config};
 use c1p_incremental::{fold_stream_hash, initial_stream_hash, IncrementalSolver, ReplayError};
 use c1p_matrix::io::{
-    append_record, decode_ensemble, encode_ensemble, fnv1a, split_record, RecordError,
+    append_record, decode_ensemble, encode_ensemble, fnv1a, split_record, ReadError, Reader,
+    RecordError,
 };
 use c1p_matrix::Ensemble;
 use std::fs::{File, OpenOptions};
@@ -74,23 +75,25 @@ fn encode_header(session: u64, n_atoms: u64) -> [u8; HEADER_LEN] {
     h
 }
 
-/// Parses and checks a segment header; `Err` is a human-readable reason.
-fn decode_header(buf: &[u8]) -> Result<(u64, u64), String> {
-    let Some(h) = buf.get(..HEADER_LEN) else {
-        return Err(format!("file shorter than the {HEADER_LEN}-byte header"));
-    };
-    if h[..4] != WAL_MAGIC {
-        return Err(format!("bad magic {:?}", &h[..4]));
+/// Parses and checks a segment header.
+fn decode_header(buf: &[u8]) -> Result<(u64, u64), WalDamage> {
+    let mut r = Reader::new(buf);
+    let magic = r.take(4, "header magic")?;
+    let version = r.u8("header version")?;
+    let session = r.u64_le("header session")?;
+    let n_atoms = r.u64_le("header atom count")?;
+    let covered = r.pos();
+    let crc = r.u64_le("header checksum")?;
+    let damage = |reason: String| Err(WalDamage { reason });
+    if magic != WAL_MAGIC {
+        return damage(format!("bad magic {magic:?}"));
     }
-    if h[4] != WAL_VERSION {
-        return Err(format!("unsupported WAL version {}", h[4]));
+    if version != WAL_VERSION {
+        return damage(format!("unsupported WAL version {version}"));
     }
-    let crc = u64::from_le_bytes(h[21..29].try_into().unwrap());
-    if fnv1a(&h[..21]) != crc {
-        return Err("header checksum mismatch".to_string());
+    if fnv1a(&buf[..covered]) != crc {
+        return damage("header checksum mismatch".to_string());
     }
-    let session = u64::from_le_bytes(h[5..13].try_into().unwrap());
-    let n_atoms = u64::from_le_bytes(h[13..21].try_into().unwrap());
     Ok((session, n_atoms))
 }
 
@@ -205,6 +208,12 @@ pub struct WalDamage {
     pub reason: String,
 }
 
+impl From<ReadError> for WalDamage {
+    fn from(e: ReadError) -> Self {
+        WalDamage { reason: e.to_string() }
+    }
+}
+
 /// Scans a WAL directory for live (non-quarantined) session logs, in
 /// ascending session-id order. The id is parsed from the filename only to
 /// order the scan; the checksummed header stays authoritative.
@@ -275,7 +284,7 @@ pub fn quarantine(path: &Path) -> std::io::Result<PathBuf> {
 pub fn recover_file(path: &Path, cfg: &Config, par_cutoff: usize) -> Result<Recovered, WalDamage> {
     let buf = std::fs::read(path)
         .map_err(|e| WalDamage { reason: format!("cannot read {}: {e}", path.display()) })?;
-    let (session, n_atoms) = decode_header(&buf).map_err(|reason| WalDamage { reason })?;
+    let (session, n_atoms) = decode_header(&buf)?;
     if n_atoms > u32::MAX as u64 {
         return Err(WalDamage { reason: format!("header claims {n_atoms} atoms") });
     }

@@ -39,12 +39,6 @@ impl CloneLibrary {
         CloneLibrary { n_sts: 9_000, n_clones: 18_000, mean_clone_span: 12, scramble: true }
     }
 
-    /// A reduced shape with the same clone/STS ratio and coverage, for quick
-    /// tests.
-    pub fn bench_scale(n_sts: usize) -> Self {
-        CloneLibrary { n_sts, n_clones: 2 * n_sts, mean_clone_span: 12, scramble: true }
-    }
-
     /// Draws a clean (error-free) fingerprint matrix. Each clone covers a
     /// contiguous run of STSs along the hidden genome; run lengths are
     /// uniform in `[1, 2·mean_clone_span]`.

@@ -8,10 +8,6 @@
 //!   (the positive workload for every experiment);
 //! * [`random_ensemble`] — unconstrained random instances (almost surely not
 //!   C1P once dense enough — the negative workload);
-//! * [`interval_graph_cliques`] — vertex × maximal-clique incidence of a
-//!   random interval graph, which is C1P by the clique-ordering theorem the
-//!   paper invokes in Section 1.4 (interval-graph recognition reduces to
-//!   C1P \[6\]);
 //! * [`planted`] / [`planted_k`] / [`planted_reject`] — the seeded standard
 //!   workloads shared by the experiment harness (`c1p-bench`) and the
 //!   serving load driver (`c1p-engine`), so every traffic generator in the
@@ -96,31 +92,6 @@ pub fn random_ensemble(
         cols.push(col);
     }
     Ensemble::from_sorted_columns(n_atoms, cols).expect("random columns are valid")
-}
-
-/// A random ensemble where every column has exactly `k` atoms (uniform
-/// without replacement). Useful for density-controlled sweeps (experiment
-/// E7's density factor `f = nm/p = n/k`).
-pub fn random_k_uniform(
-    n_atoms: usize,
-    n_columns: usize,
-    k: usize,
-    rng: &mut impl Rng,
-) -> Ensemble {
-    assert!(k <= n_atoms);
-    let mut pool: Vec<Atom> = (0..n_atoms as Atom).collect();
-    let mut cols = Vec::with_capacity(n_columns);
-    for _ in 0..n_columns {
-        // partial Fisher-Yates: first k entries are a uniform k-subset
-        for i in 0..k {
-            let j = rng.random_range(i..n_atoms);
-            pool.swap(i, j);
-        }
-        let mut col: Vec<Atom> = pool[..k].to_vec();
-        col.sort_unstable();
-        cols.push(col);
-    }
-    Ensemble::from_sorted_columns(n_atoms, cols).expect("k-subsets are valid")
 }
 
 /// The standard planted instance used by the scaling experiments and the
@@ -352,75 +323,6 @@ pub fn mixed_schedule(p: MixedSchedule) -> Vec<Ensemble> {
     schedule
 }
 
-/// A random interval graph on `n_vertices` and its maximal-clique incidence
-/// ensemble: atoms are the maximal cliques (in left-endpoint order), one
-/// column per vertex listing the cliques containing it.
-///
-/// For interval graphs this ensemble always has C1P with the clique order as
-/// witness (Gilmore–Hoffman); recognition of interval graphs reduces to C1P
-/// of this matrix, the reduction cited by the paper in Section 1.4.
-///
-/// Returns `(ensemble, intervals)` where `intervals[v] = (lo, hi)` endpoints.
-pub fn interval_graph_cliques(
-    n_vertices: usize,
-    span: usize,
-    rng: &mut impl Rng,
-) -> (Ensemble, Vec<(u32, u32)>) {
-    assert!(n_vertices > 0);
-    let line = (4 * n_vertices).max(8) as u32;
-    let mut intervals: Vec<(u32, u32)> = (0..n_vertices)
-        .map(|_| {
-            let lo = rng.random_range(0..line);
-            let len = rng.random_range(1..=span.max(1)) as u32;
-            (lo, (lo + len).min(line))
-        })
-        .collect();
-    // Maximal cliques of an interval graph = cliques at "clique points":
-    // sweep endpoints; a maximal clique forms just before some interval's
-    // right endpoint where no new interval opened since the last clique.
-    // Simpler O(n^2) construction (fine for generation): candidate cliques
-    // at each left endpoint; keep the inclusion-maximal distinct ones.
-    intervals.sort_unstable();
-    // Candidate cliques at each left endpoint, in sweep order. A vertex's
-    // cliques are exactly those whose clique point lies inside its interval,
-    // so they are consecutive in sweep order — and remain so after dropping
-    // non-maximal candidates.
-    let mut points: Vec<u32> = intervals.iter().map(|&(lo, _)| lo).collect();
-    points.sort_unstable();
-    points.dedup();
-    let cliques: Vec<Vec<u32>> = points
-        .iter()
-        .map(|&lo| {
-            intervals
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(l, h))| l <= lo && lo < h)
-                .map(|(v, _)| v as u32)
-                .collect::<Vec<u32>>()
-        })
-        .filter(|c| !c.is_empty())
-        .collect();
-    let mut keep: Vec<Vec<u32>> = cliques
-        .iter()
-        .filter(|c| {
-            !cliques
-                .iter()
-                .any(|d| d.len() > c.len() && c.iter().all(|v| d.binary_search(v).is_ok()))
-        })
-        .cloned()
-        .collect();
-    keep.dedup();
-    let n_cliques = keep.len();
-    let mut cols = vec![Vec::new(); n_vertices];
-    for (qi, clique) in keep.iter().enumerate() {
-        for &v in clique {
-            cols[v as usize].push(qi as Atom);
-        }
-    }
-    let ens = Ensemble::from_sorted_columns(n_cliques, cols).expect("clique matrix is valid");
-    (ens, intervals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,25 +351,6 @@ mod tests {
         );
         assert_eq!(ens.n_columns(), 20);
         assert!(ens.columns().iter().all(|c| (3..=7).contains(&c.len())));
-    }
-
-    #[test]
-    fn k_uniform_columns_have_size_k() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let ens = random_k_uniform(30, 10, 4, &mut rng);
-        assert!(ens.columns().iter().all(|c| c.len() == 4));
-        assert_eq!(ens.density_factor(), Some(30.0 / 4.0));
-    }
-
-    #[test]
-    fn interval_clique_matrix_is_c1p_with_clique_order() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        for _ in 0..20 {
-            let (ens, _) = interval_graph_cliques(12, 6, &mut rng);
-            let order: Vec<Atom> = (0..ens.n_atoms() as Atom).collect();
-            verify_linear(&ens, &order)
-                .expect("clique matrix in left-endpoint order must be consecutive");
-        }
     }
 
     #[test]

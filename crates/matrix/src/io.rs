@@ -105,12 +105,6 @@ pub fn parse_ensemble(text: &str) -> Result<Ensemble, EnsembleError> {
     Ok(parse_matrix(text)?.to_ensemble())
 }
 
-/// Formats an ensemble as a dense matrix string (inverse of
-/// [`parse_ensemble`] up to empty trailing columns).
-pub fn format_ensemble(ens: &Ensemble) -> String {
-    ens.to_matrix().to_string()
-}
-
 /// The running example of the paper's Fig. 2: the 8×7 matrix (rows 1–8,
 /// columns a–g) used to illustrate the GAP conditions and the merge. In our
 /// convention its 8 rows are the atoms and its 7 columns are the ensemble
@@ -272,7 +266,7 @@ pub fn decode_verdict(buf: &[u8]) -> Result<WireVerdict, EnsembleError> {
             let column_ids = r.sorted_list(len)?;
             WireVerdict::Reject { family, atom_rows, column_ids }
         }
-        other => return Err(r.err(format!("unknown verdict tag {other}"))),
+        other => return Err(r.err(format!("unknown verdict tag {other}")).into()),
     };
     r.expect_end()?;
     Ok(verdict)
@@ -352,30 +346,27 @@ pub struct Record<'a> {
 /// the record completes — also the classification when a complete-looking
 /// final record fails its checksum, since a torn page-aligned append can
 /// zero-fill rather than shorten) from mid-buffer corruption (checksum
-/// mismatch with more data after it). Never panics, never allocates.
+/// mismatch with more data after it). An `offset` at or past the end of
+/// `buf` is a torn tail too. Never panics, never allocates.
 pub fn split_record(buf: &[u8], offset: usize) -> Result<Record<'_>, RecordError> {
-    let rest = &buf[offset..];
-    let Some(len_bytes) = rest.get(..4) else {
-        return Err(RecordError::Torn);
-    };
-    let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-    // 4 len + payload + 8 aux + 8 crc; saturating keeps hostile lengths
-    // from overflowing the bound check itself
-    let total = len.saturating_add(20);
-    if rest.len() < total {
-        return Err(RecordError::Torn);
-    }
-    let crc = u64::from_le_bytes(rest[total - 8..total].try_into().unwrap());
-    if fnv1a(&rest[..total - 8]) != crc {
+    let rest = buf.get(offset..).ok_or(RecordError::Torn)?;
+    let mut r = Reader::new(rest);
+    // every field the reader cannot finish ends past the buffer: torn
+    let torn = |_: ReadError| RecordError::Torn;
+    let len = r.u32_le("record length").map_err(torn)? as usize;
+    let payload = r.take(len, "record payload").map_err(torn)?;
+    let aux = r.u64_le("record aux word").map_err(torn)?;
+    let covered = r.pos();
+    let crc = r.u64_le("record checksum").map_err(torn)?;
+    if fnv1a(&rest[..covered]) != crc {
         // checksum failure exactly at the buffer tail is indistinguishable
         // from a torn final append; anywhere else it is damage
-        if rest.len() == total {
+        if r.remaining() == 0 {
             return Err(RecordError::Torn);
         }
         return Err(RecordError::Corrupt { offset });
     }
-    let aux = u64::from_le_bytes(rest[total - 16..total - 8].try_into().unwrap());
-    Ok(Record { payload: &rest[4..4 + len], aux, consumed: total })
+    Ok(Record { payload, aux, consumed: r.pos() })
 }
 
 fn family_tag(f: TuckerFamily) -> (u8, usize) {
@@ -438,35 +429,123 @@ fn put_sorted(xs: &[u32], out: &mut Vec<u8>) {
     }
 }
 
-/// Bounds-checked cursor over a wire payload; every error carries the
-/// current byte offset.
-struct Reader<'a> {
+/// Why a [`Reader`] stopped: the byte offset and what went wrong there.
+/// Each format maps it into its own error type ([`EnsembleError::Wire`]
+/// here).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadError {
+    /// Byte offset into the slice the reader was made over.
+    pub offset: usize,
+    /// What went wrong.
+    pub kind: ReadErrorKind,
+}
+
+/// The three ways a [`Reader`] read fails.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReadErrorKind {
+    /// The slice ends before the named field.
+    Truncated(&'static str),
+    /// This many bytes follow the last field.
+    Trailing(usize),
+    /// A field holds a value the format does not allow.
+    Invalid(String),
+}
+
+impl std::fmt::Display for ReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let at = self.offset;
+        match &self.kind {
+            ReadErrorKind::Truncated(what) => write!(f, "{what} at byte {at} runs past the end"),
+            ReadErrorKind::Trailing(n) => write!(f, "{n} trailing bytes at byte {at}"),
+            ReadErrorKind::Invalid(message) => write!(f, "{message} at byte {at}"),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+impl From<ReadError> for EnsembleError {
+    fn from(e: ReadError) -> Self {
+        let message = match e.kind {
+            ReadErrorKind::Truncated(what) => format!("truncated before {what}"),
+            ReadErrorKind::Trailing(n) => format!("{n} trailing bytes after payload"),
+            ReadErrorKind::Invalid(message) => message,
+        };
+        EnsembleError::Wire { offset: e.offset, message }
+    }
+}
+
+/// The one bounds-checked cursor over untrusted bytes: wire ensembles
+/// and verdicts, `c1pd` frame payloads, cache snapshots, WAL headers and
+/// checksummed records all decode through it. No read panics or reads
+/// past the slice, and every error carries the offset it stopped at.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    fn err(&self, message: String) -> EnsembleError {
-        EnsembleError::Wire { offset: self.pos, message }
+    fn err(&self, message: String) -> ReadError {
+        ReadError { offset: self.pos, kind: ReadErrorKind::Invalid(message) }
     }
 
-    fn remaining(&self) -> usize {
+    /// Bytes read so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, EnsembleError> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ReadError> {
+        let Some(end) = self.pos.checked_add(n).filter(|&end| end <= self.buf.len()) else {
+            return Err(ReadError { offset: self.pos, kind: ReadErrorKind::Truncated(what) });
+        };
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    /// Everything not yet read (possibly nothing).
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, ReadError> {
         let Some(&b) = self.buf.get(self.pos) else {
-            return Err(self.err(format!("truncated before {what}")));
+            return Err(ReadError { offset: self.pos, kind: ReadErrorKind::Truncated(what) });
         };
         self.pos += 1;
         Ok(b)
     }
 
-    fn expect_header(&mut self, kind: u8) -> Result<(), EnsembleError> {
+    /// A little-endian `u32`.
+    pub fn u32_le(&mut self, what: &'static str) -> Result<u32, ReadError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64_le(&mut self, what: &'static str) -> Result<u64, ReadError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], ReadError> {
+        let s = self.take(N, what)?;
+        Ok(s.try_into().expect("take returns exactly N bytes"))
+    }
+
+    fn expect_header(&mut self, kind: u8) -> Result<(), ReadError> {
         if self.buf.len() < 6 {
             return Err(self.err("payload shorter than the 6-byte header".to_string()));
         }
@@ -485,7 +564,8 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    fn varint(&mut self, what: &str) -> Result<u64, EnsembleError> {
+    /// An LEB128 varint of at most 10 bytes (64 bits).
+    pub fn varint(&mut self, what: &'static str) -> Result<u64, ReadError> {
         let mut v = 0u64;
         for shift in 0..10 {
             let b = self.u8(what)?;
@@ -506,20 +586,18 @@ impl<'a> Reader<'a> {
     /// the remaining payload could possibly encode — each element takes
     /// at least one byte — which would otherwise drive a huge
     /// preallocation from a tiny hostile message).
-    fn bounded_varint(&mut self, max: u64, what: &str) -> Result<u64, EnsembleError> {
+    pub fn bounded_varint(&mut self, max: u64, what: &'static str) -> Result<u64, ReadError> {
         let at = self.pos;
         let v = self.varint(what)?;
         if v > max {
-            return Err(EnsembleError::Wire {
-                offset: at,
-                message: format!("{what} {v} exceeds limit {max}"),
-            });
+            let message = format!("{what} {v} exceeds limit {max}");
+            return Err(ReadError { offset: at, kind: ReadErrorKind::Invalid(message) });
         }
         Ok(v)
     }
 
     /// Decodes `len` delta-encoded values into a strictly ascending list.
-    fn sorted_list(&mut self, len: usize) -> Result<Vec<u32>, EnsembleError> {
+    fn sorted_list(&mut self, len: usize) -> Result<Vec<u32>, ReadError> {
         let mut xs = Vec::with_capacity(len);
         let mut prev = 0u64;
         for i in 0..len {
@@ -542,11 +620,12 @@ impl<'a> Reader<'a> {
         Ok(xs)
     }
 
-    fn expect_end(&self) -> Result<(), EnsembleError> {
-        if self.pos != self.buf.len() {
-            return Err(self.err(format!("{} trailing bytes after payload", self.remaining())));
+    /// Fails with the count of unread bytes unless every byte was read.
+    pub fn expect_end(&self) -> Result<(), ReadError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(ReadError { offset: self.pos, kind: ReadErrorKind::Trailing(n) }),
         }
-        Ok(())
     }
 }
 
@@ -601,7 +680,7 @@ mod tests {
         let bytes = encode_ensemble(&ens);
         assert_eq!(decode_ensemble(&bytes).unwrap(), ens);
         // consistency with the dense text format
-        let reparsed = parse_ensemble(&format_ensemble(&ens)).unwrap();
+        let reparsed = parse_ensemble(&ens.to_matrix().to_string()).unwrap();
         assert_eq!(decode_ensemble(&encode_ensemble(&reparsed)).unwrap(), ens);
     }
 
@@ -724,6 +803,8 @@ mod tests {
         let mut hostile = u32::MAX.to_le_bytes().to_vec();
         hostile.extend_from_slice(&[0u8; 32]);
         assert_eq!(split_record(&hostile, 0), Err(RecordError::Torn));
+        // an offset past the end of the buffer is torn, not a panic
+        assert_eq!(split_record(&buf, buf.len() + 1), Err(RecordError::Torn));
     }
 
     #[test]

@@ -23,9 +23,13 @@
 //! The server is `c1p_net::event_loop`: one readiness thread multiplexing
 //! every socket over `poll(2)`, and `--shards N` (default 1) supervised
 //! engines, each owning a consistent-hash slice of canonical keys. It
-//! serves on unix hosts only; elsewhere `c1pd` exits 2. Unknown flags
-//! are ignored, so scripts that still pass the retired `--event-loop`
-//! switch start the same server.
+//! serves on unix hosts only; elsewhere `c1pd` exits 2.
+//!
+//! The command line is strict (`c1p_net::flags`): an unknown or repeated
+//! flag, a value flag given no value, or a non-numeric number exits 2
+//! before anything binds, so a misspelt `--wal-dir` cannot start a
+//! server without durability. The retired `--event-loop` switch is an
+//! unknown flag too.
 //!
 //! Admission control answers with exact error frames, never a silent
 //! drop: frame size (`TooLarge`, then close), connection count and
@@ -77,6 +81,7 @@ use {
     c1p_engine::EngineConfig,
     c1p_net::event_loop::{self, EventLoopOpts},
     c1p_net::fault::FaultPlan,
+    c1p_net::flags::Flags,
     c1p_net::metrics::Metrics,
     std::io::{self, Write},
     std::net::TcpListener,
@@ -105,18 +110,6 @@ fn install_signal_handlers() {
     }
 }
 
-#[cfg(unix)]
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
-
-#[cfg(unix)]
-fn num_flag(args: &[String], name: &str, default: usize) -> usize {
-    flag(args, name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| panic!("{name} takes a number, got {v:?}"))
-    })
-}
-
 #[cfg(not(unix))]
 fn main() {
     eprintln!("c1pd: the server needs poll(2) and runs on unix hosts only");
@@ -125,84 +118,84 @@ fn main() {
 
 #[cfg(unix)]
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut f = Flags::new("c1pd", std::env::args().skip(1).collect());
+    let addr = f.value("--addr").unwrap_or_else(|| "127.0.0.1:9119".to_string());
+    let port_file = f.value("--port-file");
+    let wal_dir = f.value("--wal-dir").map(std::path::PathBuf::from);
+    let mut num = |name: &str, default: usize| f.num(name, default as u64) as usize;
     let defaults = EngineConfig::default();
     let server_defaults = EventLoopOpts::default();
 
     // chaos plan: one seed staggers every schedule
-    let socket_every = num_flag(&args, "--chaos-socket-every", 0) as u64;
-    let drop_every = num_flag(&args, "--chaos-drop-every", 0) as u64;
-    let chaos = FaultPlan::seeded(num_flag(&args, "--chaos-seed", 1) as u64)
+    let socket_every = num("--chaos-socket-every", 0) as u64;
+    let drop_every = num("--chaos-drop-every", 0) as u64;
+    let chaos = FaultPlan::seeded(num("--chaos-seed", 1) as u64)
         .with_read_every(socket_every)
         .with_write_every(socket_every)
-        .with_kill_every(num_flag(&args, "--chaos-kill-every", 0) as u64)
+        .with_kill_every(num("--chaos-kill-every", 0) as u64)
         .with_drop_every(drop_every)
-        .with_delay_every(num_flag(&args, "--chaos-delay-every", 0) as u64);
-    let wal_faults = chaos.wal(
-        num_flag(&args, "--chaos-wal-torn-every", 0) as u64,
-        num_flag(&args, "--chaos-wal-fail-every", 0) as u64,
-    );
+        .with_delay_every(num("--chaos-delay-every", 0) as u64);
+    let wal_faults =
+        chaos.wal(num("--chaos-wal-torn-every", 0) as u64, num("--chaos-wal-fail-every", 0) as u64);
 
     let cfg = EngineConfig {
-        threads: num_flag(&args, "--threads", 0),
-        cache_bytes: num_flag(&args, "--cache-mb", defaults.cache_bytes >> 20) << 20,
-        small_cutoff: num_flag(&args, "--small-cutoff", defaults.small_cutoff),
-        max_atoms: num_flag(&args, "--max-atoms", defaults.max_atoms),
-        max_sessions: num_flag(&args, "--max-sessions", defaults.max_sessions),
-        session_idle_ms: num_flag(&args, "--session-idle-ms", defaults.session_idle_ms as usize)
-            as u64,
+        threads: num("--threads", 0),
+        cache_bytes: num("--cache-mb", defaults.cache_bytes >> 20) << 20,
+        small_cutoff: num("--small-cutoff", defaults.small_cutoff),
+        max_atoms: num("--max-atoms", defaults.max_atoms),
+        max_sessions: num("--max-sessions", defaults.max_sessions),
+        session_idle_ms: num("--session-idle-ms", defaults.session_idle_ms as usize) as u64,
         max_session_columns: defaults.max_session_columns,
-        max_session_bytes: num_flag(&args, "--max-session-mb", defaults.max_session_bytes >> 20)
-            << 20,
-        wal_dir: flag(&args, "--wal-dir").map(std::path::PathBuf::from),
-        snapshot_interval_ms: num_flag(&args, "--snapshot-ms", 0) as u64,
-        wal_fault_after: num_flag(&args, "--wal-fault-after", 0) as u64,
+        max_session_bytes: num("--max-session-mb", defaults.max_session_bytes >> 20) << 20,
+        wal_dir,
+        snapshot_interval_ms: num("--snapshot-ms", 0) as u64,
+        wal_fault_after: num("--wal-fault-after", 0) as u64,
         wal_faults,
     };
-    let shards = num_flag(&args, "--shards", 1).max(1);
-    if let Some(dir) = &cfg.wal_dir {
-        if let Err(e) = event_loop::check_wal_layout(dir, shards) {
-            eprintln!("c1pd: refusing --wal-dir: {e}");
-            std::process::exit(2);
-        }
-    }
-    // dropped replies would hang their requests without a reaper
-    let mut deadline_ms = num_flag(&args, "--request-deadline-ms", 0) as u64;
-    if deadline_ms == 0 && drop_every > 0 {
-        deadline_ms = 2000;
-        eprintln!("c1pd: --chaos-drop-every set; defaulting --request-deadline-ms to 2000");
-    }
-    let read_timeout_ms = num_flag(&args, "--read-timeout-ms", 250);
-    let opts = EventLoopOpts {
+    let shards = num("--shards", 1).max(1);
+    let deadline_ms = num("--request-deadline-ms", 0) as u64;
+    let read_timeout_ms = num("--read-timeout-ms", 250);
+    let mut opts = EventLoopOpts {
         shards,
-        max_conns: num_flag(&args, "--max-conns", server_defaults.max_conns),
-        max_frame: num_flag(&args, "--max-frame-mb", DEFAULT_MAX_FRAME >> 20) << 20,
+        max_conns: num("--max-conns", server_defaults.max_conns),
+        max_frame: num("--max-frame-mb", DEFAULT_MAX_FRAME >> 20) << 20,
         // 0 disables the mid-frame stall reaper (idle between frames is
         // never reaped)
         read_timeout: (read_timeout_ms > 0).then(|| Duration::from_millis(read_timeout_ms as u64)),
-        outbox_limit: num_flag(&args, "--outbox-kb", server_defaults.outbox_limit >> 10) << 10,
-        max_queue: num_flag(&args, "--max-queue", server_defaults.max_queue),
-        max_batch: num_flag(&args, "--max-batch", server_defaults.max_batch),
+        outbox_limit: num("--outbox-kb", server_defaults.outbox_limit >> 10) << 10,
+        max_queue: num("--max-queue", server_defaults.max_queue),
+        max_batch: num("--max-batch", server_defaults.max_batch),
         trace: c1p_net::trace::TraceConfig {
-            sample_every: num_flag(&args, "--trace-sample", 0) as u64,
-            slow_us: num_flag(&args, "--slow-ms", 100) as u64 * 1000,
-            seed: num_flag(&args, "--trace-seed", 1) as u64,
-            ring_cap: num_flag(&args, "--trace-ring", 256),
+            sample_every: num("--trace-sample", 0) as u64,
+            slow_us: num("--slow-ms", 100) as u64 * 1000,
+            seed: num("--trace-seed", 1) as u64,
+            ring_cap: num("--trace-ring", 256),
         },
         engine_cfg: cfg,
         drain: Duration::from_secs(30),
         fault: Arc::new(chaos),
         request_deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
     };
-    let addr = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:9119".to_string());
+    f.finish();
 
+    if let Some(dir) = &opts.engine_cfg.wal_dir {
+        if let Err(e) = event_loop::check_wal_layout(dir, shards) {
+            eprintln!("c1pd: refusing --wal-dir: {e}");
+            std::process::exit(2);
+        }
+    }
+    // dropped replies would hang their requests without a reaper
+    if opts.request_deadline.is_none() && drop_every > 0 {
+        opts.request_deadline = Some(Duration::from_millis(2000));
+        eprintln!("c1pd: --chaos-drop-every set; defaulting --request-deadline-ms to 2000");
+    }
     install_signal_handlers();
     let listener =
         TcpListener::bind(&addr).unwrap_or_else(|e| panic!("c1pd: cannot bind {addr}: {e}"));
     let local = listener.local_addr().expect("bound socket has an address");
     println!("c1pd listening on {local}");
     io::stdout().flush().ok();
-    if let Some(path) = flag(&args, "--port-file") {
+    if let Some(path) = port_file {
         std::fs::write(&path, format!("{}\n", local.port()))
             .unwrap_or_else(|e| panic!("c1pd: cannot write {path}: {e}"));
     }

@@ -120,6 +120,7 @@ use c1p_matrix::generate::{
 use c1p_matrix::io::WireVerdict;
 use c1p_matrix::{verify_linear, Atom, Ensemble};
 use c1p_net::client::{Client, ClientError, PushOutcome, RetryPolicy, SealOutcome};
+use c1p_net::flags::Flags;
 use c1p_pqtree::Reducer;
 use std::fmt::Display;
 use std::io::{BufReader, BufWriter, Write};
@@ -130,75 +131,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 fn main() {
-    let mut f = Flags::new(std::env::args().skip(1).collect());
+    let mut f = Flags::new("load_driver", std::env::args().skip(1).collect());
     match f.value("--mode").as_deref() {
         None | Some("solve") => solve_main(f),
         Some("sessions") => sessions_main(f),
         Some("crash") => crash_main(f),
         Some("chaos") => chaos_main(f),
         Some(other) => {
-            usage(&format!("unknown --mode {other:?} (solve, sessions, crash or chaos)"))
+            f.usage(&format!("unknown --mode {other:?} (solve, sessions, crash or chaos)"))
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// command line
-// ---------------------------------------------------------------------
-
-/// One mode's command line, claimed flag by flag: an argument no read
-/// claims is one this mode does not know, and [`Flags::finish`] rejects
-/// it. Reading a flag is what declares it, so the accepted set cannot
-/// drift from the set a mode uses.
-struct Flags {
-    args: Vec<String>,
-    claimed: Vec<bool>,
-}
-
-impl Flags {
-    fn new(args: Vec<String>) -> Flags {
-        let claimed = vec![false; args.len()];
-        Flags { args, claimed }
-    }
-
-    fn value(&mut self, name: &str) -> Option<String> {
-        let i = self.args.iter().position(|a| a == name)?;
-        match self.args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => {
-                self.claimed[i] = true;
-                self.claimed[i + 1] = true;
-                Some(v.clone())
-            }
-            _ => usage(&format!("{name} needs a value")),
-        }
-    }
-
-    fn required(&mut self, name: &str, what: &str) -> String {
-        self.value(name).unwrap_or_else(|| usage(&format!("{name} {what} is required")))
-    }
-
-    fn num(&mut self, name: &str, default: u64) -> u64 {
-        self.value(name).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| usage(&format!("{name} takes a number, got {v:?}")))
-        })
-    }
-
-    fn switch(&mut self, name: &str) -> bool {
-        let at = self.args.iter().position(|a| a == name);
-        at.map(|i| self.claimed[i] = true).is_some()
-    }
-
-    /// Rejects the first argument no read claimed.
-    fn finish(self) {
-        if let Some(i) = self.claimed.iter().position(|&c| !c) {
-            usage(&format!("unknown, repeated or stray argument {:?}", self.args[i]));
-        }
-    }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("load_driver: {msg}");
-    std::process::exit(2);
 }
 
 // ---------------------------------------------------------------------
@@ -776,7 +718,7 @@ impl PlanSpec {
             n_hi: f.num("--n-hi", n_hi) as usize,
         };
         if spec.n_lo < 16 * spec.blocks || spec.n_hi < spec.n_lo {
-            usage("a planted reject needs 16 × --blocks <= --n-lo <= --n-hi");
+            f.usage("a planted reject needs 16 × --blocks <= --n-lo <= --n-hi");
         }
         spec
     }

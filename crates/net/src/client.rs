@@ -31,7 +31,6 @@
 //! (`sleep = min(cap, rand(base, prev * 3))`) so a thundering herd of
 //! retrying clients decorrelates instead of re-synchronizing.
 
-use crate::fault::FaultPlan;
 use c1p_engine::proto::{
     decode_msg, encode_msg, read_frame, write_frame, ErrorCode, Msg, DEFAULT_MAX_FRAME,
 };
@@ -40,7 +39,6 @@ use c1p_matrix::io::WireVerdict;
 use c1p_matrix::Ensemble;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Retry/backoff knobs for one [`Client`].
@@ -175,10 +173,6 @@ pub struct Client {
     rng: u64,
     prev_sleep: Duration,
     retries: u64,
-    /// Optional client-side chaos: faults injected into this client's
-    /// own socket I/O (the chaos driver points it at the same plan
-    /// shape the server uses, with a different seed).
-    fault: Option<Arc<FaultPlan>>,
 }
 
 impl Client {
@@ -193,15 +187,7 @@ impl Client {
             rng: seed | 1,
             prev_sleep: Duration::ZERO,
             retries: 0,
-            fault: None,
         }
-    }
-
-    /// Injects faults into this client's own reads/writes (testing the
-    /// retry machinery without a faulty server).
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Client {
-        self.fault = Some(plan);
-        self
     }
 
     /// Transport retries performed so far (reconnect-and-resend or
@@ -258,28 +244,12 @@ impl Client {
         if let Err(e) = self.dial() {
             return Exchange::Lost(format!("connect: {e}"));
         }
-        let plan = self.fault.clone();
         let (reader, writer) = self.conn.as_mut().expect("dialed above");
-        let payload = encode_msg(msg);
-        let wrote = match &plan {
-            Some(p) => {
-                let mut fio = crate::fault::FaultyIo::new(writer, p);
-                write_frame(&mut fio, &payload).and_then(|()| fio.flush())
-            }
-            None => write_frame(writer, &payload).and_then(|()| writer.flush()),
-        };
-        if let Err(e) = wrote {
+        if let Err(e) = write_frame(writer, &encode_msg(msg)).and_then(|()| writer.flush()) {
             self.conn = None;
             return Exchange::Lost(format!("write: {e}"));
         }
-        let read = match &plan {
-            Some(p) => {
-                let mut fio = crate::fault::FaultyIo::new(reader, p);
-                read_frame(&mut fio, DEFAULT_MAX_FRAME)
-            }
-            None => read_frame(reader, DEFAULT_MAX_FRAME),
-        };
-        let frame = match read {
+        let frame = match read_frame(reader, DEFAULT_MAX_FRAME) {
             Ok(Some(f)) => f,
             Ok(None) => {
                 self.conn = None;

@@ -25,6 +25,8 @@
 //! * [`client`] — the self-healing client: deadline budgets, backoff
 //!   with decorrelated jitter, and the recovered-hash handshake that
 //!   makes session pushes idempotent across retries.
+//! * [`flags`] — the strict command line `c1pd` and `load_driver`
+//!   share: any argument a program does not read exits 2.
 //!
 //! The server speaks the `c1p_engine::proto` frame protocol unchanged:
 //! one response per request, in order, per connection — the event loop
@@ -36,6 +38,7 @@ pub mod conn;
 #[cfg(unix)]
 pub mod event_loop;
 pub mod fault;
+pub mod flags;
 pub mod metrics;
 pub mod poll;
 pub mod trace;
