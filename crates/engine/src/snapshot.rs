@@ -21,9 +21,10 @@
 //! one, never a mixture; a crash mid-write leaves at most a stale `.tmp`
 //! that the next write overwrites.
 //!
-//! **Loading is as paranoid as any other wire input:** every length is
-//! bounds-checked against the bytes actually present *before* any
-//! allocation, the whole-file checksum is verified first, and every key
+//! **Loading is as paranoid as any other wire input:** the image is read
+//! through `c1p_matrix::io::Reader`, every length is bounds-checked
+//! against the bytes actually present *before* any allocation, the
+//! whole-file checksum is verified first, and every key
 //! and verdict goes through the structured `decode_ensemble` /
 //! `decode_verdict` paths. Any defect yields a structured
 //! [`SnapshotDamage`] — the caller quarantines the file and cold-starts;

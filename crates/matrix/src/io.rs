@@ -565,7 +565,7 @@ impl<'a> Reader<'a> {
     }
 
     /// An LEB128 varint of at most 10 bytes (64 bits).
-    pub fn varint(&mut self, what: &'static str) -> Result<u64, ReadError> {
+    fn varint(&mut self, what: &'static str) -> Result<u64, ReadError> {
         let mut v = 0u64;
         for shift in 0..10 {
             let b = self.u8(what)?;
@@ -586,7 +586,7 @@ impl<'a> Reader<'a> {
     /// the remaining payload could possibly encode — each element takes
     /// at least one byte — which would otherwise drive a huge
     /// preallocation from a tiny hostile message).
-    pub fn bounded_varint(&mut self, max: u64, what: &'static str) -> Result<u64, ReadError> {
+    fn bounded_varint(&mut self, max: u64, what: &'static str) -> Result<u64, ReadError> {
         let at = self.pos;
         let v = self.varint(what)?;
         if v > max {
